@@ -206,6 +206,13 @@ class SuperscalarCore:
         md = params.memdep
         self._memdep_on = md.enabled
         self._lsq: deque[DynOp] = deque()
+        # Address indexes over the LSQ's correct-path ops, each chain in seq
+        # order: forwarding and violation checks walk one address's chain
+        # instead of the whole queue.  Wrong-path ops hold LSQ slots but
+        # never forward or violate, so they are never indexed.  Every LSQ
+        # change goes through _rename, _commit or _trim_squashed_lsq.
+        self._lsq_stores: dict[int, list[DynOp]] = {}
+        self._lsq_loads: dict[int, list[DynOp]] = {}
         self._lsq_size = md.lsq_size
         self._fwd_latency = md.forward_latency
         self._violation_penalty = md.violation_penalty
@@ -684,6 +691,7 @@ class SuperscalarCore:
         record = self.params.record_retired
         gate_on_check = self.checker is not None
         lsq = self._lsq if self._memdep_on else None
+        store_cls = OpClass.STORE
         tracer = self.tracer
         fault_tracker = self._fault_tracker
         while window and done < budget:
@@ -696,6 +704,14 @@ class SuperscalarCore:
             window.popleft()
             if lsq is not None and lsq and lsq[0] is op:
                 lsq.popleft()
+                # The oldest LSQ op heads its address chain.
+                index = self._lsq_stores if op.uop.op is store_cls else self._lsq_loads
+                addr = op.uop.addr
+                chain = index[addr]
+                if len(chain) == 1:
+                    del index[addr]
+                else:
+                    del chain[0]
             op.committed_at = now
             dest = op.uop.dest
             if reg_producer.get(dest) is op:
@@ -786,8 +802,13 @@ class SuperscalarCore:
                     if memdep_on and op_cls is store_cls and not op.wrong_path:
                         # The store's address just resolved: any younger
                         # load that already read this address from memory
-                        # saw stale data and must replay.
-                        self._scan_order_violation(op, now)
+                        # saw stale data and must replay.  The squash is
+                        # posted for the next cycle rather than applied
+                        # mid-issue: this loop is walking the ready queue
+                        # and must not mutate the window under itself.
+                        violator = self._order_violator(op)
+                        if violator is not None:
+                            wheel_post(now + 1, EV_MEM_VIOLATION, (op, violator))
             else:
                 complete = now + lat_by_op[op_cls]
                 if not fu.try_acquire(
@@ -842,50 +863,63 @@ class SuperscalarCore:
     def _forwarding_store(self, load: DynOp) -> DynOp | None:
         """Youngest older same-address store that can forward to ``load``.
 
-        Scans the LSQ youngest-first so the first older matching store is
-        the one whose value the load must see.  A matching store that has
-        not issued yet cannot forward (its data does not exist) — the load
-        proceeds to the D-cache and the store's later issue catches the
-        ordering violation.  Wrong-path stores never forward: their values
-        are fiction and they vanish at resolution.
+        Walks the address's store chain youngest-first so the first older
+        store is the one whose value the load must see.  A matching store
+        that has not issued yet cannot forward (its data does not exist) —
+        the load proceeds to the D-cache and the store's later issue
+        catches the ordering violation.  Wrong-path stores never forward:
+        their values are fiction and they vanish at resolution.
         """
-        addr = load.uop.addr
-        seq = load.seq
-        store_cls = OpClass.STORE
-        for entry in reversed(self._lsq):
-            if entry.seq >= seq:
-                continue
-            if entry.uop.op is store_cls and not entry.wrong_path and entry.uop.addr == addr:
-                return entry if entry.issued_at is not None else None
+        chain = self._lsq_stores.get(load.uop.addr)
+        if chain is not None:
+            seq = load.seq
+            for store in reversed(chain):
+                if store.seq < seq:
+                    return store if store.issued_at is not None else None
         return None
 
-    def _scan_order_violation(self, store: DynOp, now: int) -> None:
-        """At store issue, catch younger loads that already read its address.
+    def _order_violator(self, store: DynOp) -> DynOp | None:
+        """Oldest younger load that already read ``store``'s address, if any.
 
         A younger issued load with the same address violated memory order
         unless it forwarded from a store *younger* than this one (in which
         case it saw the closer value, which is correct).  Only the oldest
         violator matters — squashing from it removes every younger one —
-        and the LSQ is program-ordered, so the scan stops at the first
-        match.  The squash is posted as an EV_MEM_VIOLATION event for the
-        next cycle rather than applied mid-issue: the issue loop is walking
-        the ready queue and must not mutate the window under itself.
+        and the address's load chain is in program order, so the walk stops
+        at the first match.
         """
-        addr = store.uop.addr
-        sseq = store.seq
-        load_cls = OpClass.LOAD
-        for entry in self._lsq:
-            if entry.seq <= sseq or entry.wrong_path:
+        chain = self._lsq_loads.get(store.uop.addr)
+        if chain is not None:
+            sseq = store.seq
+            for load in chain:
+                if load.seq <= sseq or load.issued_at is None:
+                    continue
+                fwd = load.fwd_from
+                if fwd is not None and fwd.seq > sseq:
+                    continue
+                return load
+        return None
+
+    def _trim_squashed_lsq(self) -> None:
+        """Drop the squashed tail of the LSQ and of its address indexes.
+
+        Every squash removes a youngest-first suffix of the window, so its
+        LSQ victims are a suffix of the (program-ordered) LSQ and each
+        correct-path victim is the youngest op of its address chain.
+        """
+        lsq = self._lsq
+        store_cls = OpClass.STORE
+        while lsq and lsq[-1].squashed:
+            op = lsq.pop()
+            if op.wrong_path:
                 continue
-            if entry.uop.op is not load_cls or entry.issued_at is None:
-                continue
-            if entry.uop.addr != addr:
-                continue
-            fwd = entry.fwd_from
-            if fwd is not None and fwd.seq > sseq:
-                continue
-            self._wheel.post(now + 1, EV_MEM_VIOLATION, (store, entry))
-            break
+            index = self._lsq_stores if op.uop.op is store_cls else self._lsq_loads
+            addr = op.uop.addr
+            chain = index[addr]
+            if len(chain) == 1:
+                del index[addr]
+            else:
+                chain.pop()
 
     # ----------------------------------------------------------------- fetch
 
@@ -1058,8 +1092,15 @@ class SuperscalarCore:
                 # LSQ slot from rename to commit or squash; only
                 # correct-path stores are visible to the predictor.
                 self._lsq.append(op)
-                if not wrong_path and opc is OpClass.STORE:
-                    self._storesets.store_fetched(uop.pc, op, now)
+                if not wrong_path:
+                    index = self._lsq_stores if opc is OpClass.STORE else self._lsq_loads
+                    chain = index.get(uop.addr)
+                    if chain is None:
+                        index[uop.addr] = [op]
+                    else:
+                        chain.append(op)
+                    if opc is OpClass.STORE:
+                        self._storesets.store_fetched(uop.pc, op, now)
         if uop.op is OpClass.NOP:
             # Nops consume front-end and commit bandwidth only; they never
             # enter the ready or check queues.

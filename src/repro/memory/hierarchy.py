@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.memory.bus import MemoryBus
 from repro.memory.cache import LINE_BYTES, Cache, CacheStats
-from repro.memory.mshr import MSHRFile, MSHROutcome
+from repro.memory.mshr import MSHRFile
 
 #: Mirror of :data:`repro.core.sched.EV_MEM_FILL` (importing it here would
 #: cycle: repro.core.core imports this module).  Pinned equal by a test.
@@ -83,12 +83,23 @@ class AccessResult:
             ``"mem"``, or ``"mshr"`` for a hit on an in-flight miss.
         reason: Refusal reason when not ok: ``"port"``, ``"bank"``,
             ``"mshr"``, or ``"mshr_target"``.
+
+    Refusal results are shared module-level constants (one per reason),
+    not fresh objects: callers must treat every result as read-only.
     """
 
     ok: bool
     ready_at: int = 0
     level: str = "l1"
     reason: str | None = None
+
+
+#: Shared refusal answers: the core replays refused accesses every cycle,
+#: so refusals allocate nothing.  Never mutate these.
+_REFUSED_PORT = AccessResult(ok=False, reason="port")
+_REFUSED_BANK = AccessResult(ok=False, reason="bank")
+_REFUSED_MSHR = AccessResult(ok=False, reason="mshr")
+_REFUSED_MSHR_TARGET = AccessResult(ok=False, reason="mshr_target")
 
 
 @dataclass(slots=True)
@@ -125,6 +136,9 @@ class MemoryHierarchy:
         if p.dcache_banks <= 0:
             raise ValueError(f"dcache_banks must be positive, got {p.dcache_banks}")
         self._nbanks = p.dcache_banks
+        # Hot-path copies of the params the data path reads on every access.
+        self._dcache_ports = p.dcache_ports
+        self._l1_latency = p.l1_latency
         #: Per-bank per-cycle access capacity under line interleaving.
         self._bank_ports = max(1, p.dcache_ports // p.dcache_banks)
         self._bank_cycle = -1
@@ -187,14 +201,14 @@ class MemoryHierarchy:
     def ports_free(self, now: int) -> int:
         """Data-cache ports still available at cycle ``now``."""
         if now != self._port_cycle:
-            return self.params.dcache_ports
-        return self.params.dcache_ports - self._ports_used
+            return self._dcache_ports
+        return self._dcache_ports - self._ports_used
 
     def _take_port(self, now: int) -> bool:
         if now != self._port_cycle:
             self._port_cycle = now
             self._ports_used = 0
-        if self._ports_used >= self.params.dcache_ports:
+        if self._ports_used >= self._dcache_ports:
             self.stats.port_conflicts += 1
             return False
         self._ports_used += 1
@@ -245,58 +259,83 @@ class MemoryHierarchy:
         """Issue a load/store to byte ``addr`` at cycle ``now``.
 
         Hits cost the L1 latency.  Misses consult the MSHR file: a hit on an
-        in-flight miss merges (``level == "mshr"``); otherwise a fresh MSHR
-        is allocated and the line fetched from L2 or memory, installing it
-        into both levels.  Refusals (``ok=False``) consume no port.
+        in-flight miss merges (``level == "mshr"``, still counted as an L1D
+        miss); otherwise a fresh MSHR is allocated and the line fetched from
+        L2 or memory, installing it into both levels.
+
+        Refusals (``ok=False``) hold no port and leave the L1D hit/miss
+        counters untouched, so a replay storm does not inflate the miss
+        rate.  An MSHR refusal (``"mshr"``/``"mshr_target"``) does keep its
+        bank slot for the cycle: the array was probed before the miss had
+        nowhere to go.  Refusals are shared constants (see
+        :class:`AccessResult`).
         """
-        p = self.params
         if self._wheel is None:
             self._drain_fills(now)
         elif self._fills_armed:
             self._drain_fills(now)
             self._fills_armed = False
-        if not self._take_port(now):
-            return AccessResult(ok=False, reason="port")
+        # Port claim, inlined from _take_port.
+        if now != self._port_cycle:
+            self._port_cycle = now
+            self._ports_used = 0
+        if self._ports_used >= self._dcache_ports:
+            self.stats.port_conflicts += 1
+            return _REFUSED_PORT
+        self._ports_used += 1
         if self._nbanks > 1 and not self._take_bank_slot(addr, now, checker=False):
             # Bank saturated even though a port was free: refund the port
             # (the access never reached the array) and replay next cycle.
             self._ports_used -= 1
-            return AccessResult(ok=False, reason="bank")
-        if self.l1d.lookup(addr, is_store=is_store):
+            return _REFUSED_BANK
+        # L1D probe, inlined from Cache.lookup: the miss is only counted
+        # once the MSHRs accept the access.
+        l1d = self.l1d
+        line = addr >> l1d._line_shift
+        cache_set = l1d._sets[line & l1d._set_mask]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+            if is_store:
+                cache_set[line] = True
+            l1d.stats.hits += 1
             self.stats.accesses["l1"] += 1
-            return AccessResult(ok=True, ready_at=now + p.l1_latency, level="l1")
+            return AccessResult(True, now + self._l1_latency, "l1")
 
-        line = self.l1d.line_addr(addr)
-        in_flight = self.mshrs.lookup(line, now)
-        if in_flight is not None:
-            outcome, ready = self.mshrs.request(line, now, in_flight)
-            if outcome is MSHROutcome.MERGED:
-                if is_store and line in self._pending_fills:
-                    self._pending_fills[line][2] = True
-                self.stats.accesses["mshr"] += 1
-                # Merging never beats an L1 hit: data arriving with the fill
-                # still crosses the L1 access path.
-                return AccessResult(
-                    ok=True, ready_at=max(ready, now + p.l1_latency), level="mshr"
-                )
-            # Refused accesses do not hold their port, and their replay next
-            # cycle would otherwise inflate the miss count once per retry.
+        # MSHR lookup + request, inlined with a single gated reclaim for
+        # the whole access (no in-flight miss can finish within the call).
+        mshrs = self.mshrs
+        if now >= mshrs._next_ready:
+            mshrs._reclaim(now)
+        miss = mshrs._misses.get(line)
+        if miss is not None:
+            if miss.targets >= mshrs.targets_per_entry:
+                mshrs.target_stalls += 1
+                self._ports_used -= 1
+                return _REFUSED_MSHR_TARGET
+            miss.targets += 1
+            mshrs.merges += 1
+            l1d.stats.misses += 1
+            if is_store and line in self._pending_fills:
+                self._pending_fills[line][2] = True
+            self.stats.accesses["mshr"] += 1
+            # Merging never beats an L1 hit: data arriving with the fill
+            # still crosses the L1 access path.
+            return AccessResult(
+                True, max(miss.ready_at, now + self._l1_latency), "mshr"
+            )
+        if len(mshrs._misses) >= mshrs.entries:
+            mshrs.full_stalls += 1
             self._ports_used -= 1
-            self.l1d.stats.misses -= 1
-            return AccessResult(ok=False, reason="mshr_target")
-        if self.mshrs.outstanding(now) >= self.mshrs.entries:
-            self.mshrs.request(line, now, now)  # records the full stall
-            self._ports_used -= 1
-            self.l1d.stats.misses -= 1
-            return AccessResult(ok=False, reason="mshr")
+            return _REFUSED_MSHR
 
+        l1d.stats.misses += 1
         ready, level = self._fetch_line(addr, now)
-        self.mshrs.request(line, now, ready)
+        mshrs._allocate(line, ready)
         self._pending_fills[line] = [ready, addr, is_store]
         if self._wheel is not None:
             self._wheel.post(ready, _EV_MEM_FILL, line)
         self.stats.accesses[level] += 1
-        return AccessResult(ok=True, ready_at=ready, level=level)
+        return AccessResult(True, ready, level)
 
     def _fetch_line(self, addr: int, now: int) -> tuple[int, str]:
         """Bring ``addr``'s line from L2 or memory; returns (ready, level)."""

@@ -92,11 +92,16 @@ class MSHRFile:
         if len(self._misses) >= self.entries:
             self.full_stalls += 1
             return MSHROutcome.NO_MSHR, now
+        self._allocate(line, ready_at)
+        return MSHROutcome.NEW, ready_at
+
+    def _allocate(self, line: int, ready_at: int) -> None:
+        """Track a new miss on ``line``; the caller has checked it is
+        absent and that an entry is free (reclaimed at the current cycle)."""
         self._misses[line] = _Miss(ready_at=ready_at, targets=1)
         if ready_at < self._next_ready:
             self._next_ready = ready_at
         self.allocations += 1
-        return MSHROutcome.NEW, ready_at
 
     def flush(self) -> None:
         """Drop all in-flight state (between independent regions)."""
