@@ -30,14 +30,13 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from dataclasses import replace
 
-from repro.core.core import SuperscalarCore
-from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
-from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
-from repro.workloads import PRESETS, WrongPathGenerator, generate
+from repro.core.params import CoreParams, MemDepParams, RecoveryParams
+from repro.simulate import build_core, run_experiment
+from repro.workloads import PRESETS, generate
 
 #: Default committed reference (relative to the repository root / CWD).
 DEFAULT_REFERENCE = Path("benchmarks") / "baseline_prerefactor.json"
@@ -111,17 +110,16 @@ def load_reference(path: str | Path = DEFAULT_REFERENCE) -> dict[str, Any] | Non
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _time_run(
-    core: SuperscalarCore, trace, repeats: int
-) -> tuple[float, Any]:
+def _best_of(repeats: int, run: Callable[[], Any]) -> tuple[float, Any]:
+    """Best wall time over ``repeats`` calls of ``run``, and its last result."""
     best = None
-    stats = None
+    result = None
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
-        stats = core.run(trace)
+        result = run()
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
-    return best, stats
+    return best, result
 
 
 def _run_sharded_bench(
@@ -142,7 +140,6 @@ def _run_sharded_bench(
       ``--shards 1`` must clear :data:`SHARDED_MIN_SPEEDUP` when the host
       has at least N CPUs.
     """
-    from repro.cli import run_experiment
     from repro.parallel import run_sharded_experiment
 
     ops = shape["ops"]
@@ -164,16 +161,12 @@ def _run_sharded_bench(
     mono = run_experiment(profile, fault_rate=0.0, **common)
 
     def timed(n_shards: int, n_warmup: int) -> tuple[float, dict[str, Any]]:
-        best = None
-        result: dict[str, Any] = {}
-        for _ in range(max(1, repeats)):
-            started = time.perf_counter()
-            result = run_sharded_experiment(
+        return _best_of(
+            repeats,
+            lambda: run_sharded_experiment(
                 profile, shards=n_shards, warmup=n_warmup, fault_rate=0.0, **common
-            )
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
-        return best, result
+            ),
+        )
 
     wall_1, shards_1 = timed(1, 0)
     wall_n, shards_n = timed(shards, warmup)
@@ -298,37 +291,30 @@ def run_bench(
         banks = shape.get("dcache_banks", 1)
         ckpt_interval = shape.get("checkpoint_interval", 0)
         trace = generate(profile, ops, seed=seed)
-        wp_source = WrongPathGenerator(profile, seed=seed).iter_stream
+        base = CoreParams(
+            window_size=shape["window_size"],
+            wrong_path_depth=shape["wrong_path_depth"],
+            memdep=MemDepParams(enabled=memdep_on),
+            recovery=RecoveryParams(
+                checkpoint_interval=ckpt_interval,
+                checkpoint_overhead=shape.get("checkpoint_overhead", 1),
+            ),
+        )
         ref_entry = ref_configs.get(name)
         if ref_entry is not None and ref_entry.get("ops") != ops:
             ref_entry = None  # trace length differs: wall times incomparable
         entry: dict[str, Any] = dict(shape)
-        for mode, checker in (
-            ("unchecked", CheckerParams(enabled=False)),
-            (
-                "checked",
-                CheckerParams(enabled=True, fault_rate=fault_rate, fault_seed=seed + 1),
-            ),
-        ):
-            params = CoreParams(
-                window_size=shape["window_size"],
+        for mode in ("unchecked", "checked"):
+            core = build_core(
+                profile,
+                base,
+                seed=seed,
+                check=mode == "checked",
+                fault_rate=fault_rate,
                 wrong_path_depth=shape["wrong_path_depth"],
-                checker=checker,
-                memdep=MemDepParams(enabled=memdep_on),
-                recovery=RecoveryParams(
-                    checkpoint_interval=ckpt_interval,
-                    checkpoint_overhead=shape.get("checkpoint_overhead", 1),
-                ),
+                dcache_banks=banks,
             )
-            hierarchy = (
-                MemoryHierarchy(HierarchyParams(dcache_banks=banks))
-                if banks != 1
-                else None
-            )
-            core = SuperscalarCore(
-                params, hierarchy=hierarchy, wrong_path_source=wp_source
-            )
-            wall, stats = _time_run(core, trace, repeats)
+            wall, stats = _best_of(repeats, lambda: core.run(trace))
             stats_dict = stats.to_dict()
             mode_report: dict[str, Any] = {
                 "wall_s": round(wall, 4),

@@ -1,6 +1,8 @@
 """Experiment CLI: single runs, parallel sweeps, and paper-style reports.
 
-Three subcommands:
+Argument parsing and printing only; the simulations live in
+:mod:`repro.simulate`, :mod:`repro.parallel` and :mod:`repro.experiments`.
+Five subcommands:
 
 * ``python -m repro run --preset int-heavy --check`` — one (preset, seed,
   config) point through an unchecked baseline core and (with ``--check``)
@@ -25,168 +27,30 @@ Three subcommands:
   scheduling kernel against the committed pre-refactor (window-rescan)
   reference, verifying stat-identity and writing ``BENCH_core.json`` (see
   :mod:`repro.bench`).
-
-For back-compatibility, an invocation whose first argument is not a
-subcommand (``python -m repro --preset int-heavy --check``) is treated as
-``run``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
-from repro.core.core import SuperscalarCore
+from repro.experiments import ResultsStore, SweepSpec, run_sweep
 from repro.faults.models import FAULT_MODELS as _FAULT_MODELS
 from repro.isa.opcodes import FUClass
-from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
 from repro.obs import ObsSession
 from repro.obs.telemetry import render_table as render_telemetry_table
-from repro.workloads import PRESET_NAMES, PRESETS, WorkloadProfile, WrongPathGenerator, generate
-
-#: Single source of truth for the depth default (the CoreParams field).
-_DEFAULT_WRONG_PATH_DEPTH = CoreParams().wrong_path_depth
-
-#: Subcommand names — anything else in argv[0] position is legacy ``run``.
-COMMANDS = ("run", "sweep", "campaign", "report", "bench")
+from repro.parallel import DEFAULT_SHARD_WARMUP, run_sharded_experiment
+from repro.simulate import DEFAULT_WRONG_PATH_DEPTH, run_experiment
+from repro.workloads import PRESET_NAMES, PRESETS
 
 #: Default results-store path shared by ``sweep`` and ``report`` so the
 #: bare two-command flow works without plumbing a path through by hand.
 DEFAULT_STORE = "sweep_results.jsonl"
-
-
-def run_experiment(
-    profile: WorkloadProfile,
-    num_ops: int = 20_000,
-    seed: int = 0,
-    check: bool = True,
-    fault_rate: float = 1e-4,
-    real_predictor: bool = False,
-    wrong_path: bool = True,
-    wrong_path_depth: int = _DEFAULT_WRONG_PATH_DEPTH,
-    params: CoreParams | None = None,
-    dcache_banks: int = 1,
-    store_alias_fraction: float | None = None,
-    obs: ObsSession | None = None,
-) -> dict:
-    """Run one preset through baseline and (optionally) checked cores.
-
-    Both cores consume the *same* trace, so every difference in the stats
-    is attributable to the checker's resource sharing and recoveries.
-    Wrong-path streams come from a profile-aware generator so the wasted
-    work the checker competes with matches the workload's own op mix.
-
-    Args:
-        params: Optional base :class:`CoreParams` (issue width, FU counts,
-            checker slot policy, memory-dependence knobs, …).  The explicit
-            keyword arguments — predictor mode, wrong-path knobs, and the
-            per-run checker enable/fault-rate/seed — are applied on top of
-            it; sweeps use this to vary machine shape per grid point.
-        dcache_banks: D-cache banks per core (1 = the legacy unbanked
-            model; more makes checker loads/stores compete for bank slots).
-        store_alias_fraction: When set, overrides the profile's
-            ``store_alias_fraction`` (see
-            :class:`~repro.workloads.profiles.WorkloadProfile`).
-        obs: Optional :class:`~repro.obs.ObsSession`.  When provided, each
-            core gets a pipeline tracer (labelled ``unchecked``/``checked``)
-            if tracing was requested, runs with the session's telemetry
-            interval, and registers its final stats into the session's
-            metrics registry.  ``None`` (the default — every sweep and
-            golden path) leaves the cores entirely uninstrumented.
-
-    The returned dict is fully JSON-serializable (validated by the CLI
-    schema tests): stats are flattened via ``CoreStats.to_dict`` and the
-    effective machine configuration is recorded under ``"params"`` via
-    ``CoreParams.to_dict`` (enum-keyed FU counts become name-keyed).
-    """
-    if store_alias_fraction is not None:
-        profile = replace(profile, store_alias_fraction=store_alias_fraction)
-    trace = generate(profile, num_ops, seed=seed)
-    # iter_stream: the core consumes wrong-path streams lazily, so only the
-    # prefix fetched before each branch resolves is ever synthesized.
-    wp_source = WrongPathGenerator(profile, seed=seed).iter_stream if wrong_path else None
-    base = params if params is not None else CoreParams()
-    # Observability overrides ride the same replace() path as every other
-    # knob; with obs=None the dict is empty and params are untouched.
-    obs_overrides: dict = {}
-    if obs is not None and obs.telemetry_interval:
-        obs_overrides["telemetry_interval"] = obs.telemetry_interval
-
-    def core_params(checker: CheckerParams | None = None) -> CoreParams:
-        return replace(
-            base,
-            use_real_predictor=real_predictor,
-            model_wrong_path=wrong_path,
-            wrong_path_depth=wrong_path_depth,
-            wrong_path_seed=seed,
-            checker=(
-                checker
-                if checker is not None
-                else replace(base.checker, enabled=False, fault_rate=0.0)
-            ),
-            **obs_overrides,
-        )
-
-    checker_params = replace(
-        base.checker, enabled=True, fault_rate=fault_rate, fault_seed=seed + 1
-    )
-
-    def hierarchy() -> MemoryHierarchy | None:
-        # None keeps the core's own default hierarchy; a banked run needs a
-        # *separate* instance per core (hierarchies hold per-run state).
-        if dcache_banks == 1:
-            return None
-        return MemoryHierarchy(HierarchyParams(dcache_banks=dcache_banks))
-
-    baseline = SuperscalarCore(
-        core_params(),
-        hierarchy=hierarchy(),
-        wrong_path_source=wp_source,
-        tracer=obs.tracer_for("unchecked") if obs is not None else None,
-    )
-    baseline_stats = baseline.run(trace)
-    if obs is not None:
-        obs.record_telemetry("unchecked", baseline.telemetry)
-        baseline_stats.register_metrics(obs.registry, "unchecked.")
-    result: dict = {
-        "preset": profile.name,
-        "ops": num_ops,
-        "seed": seed,
-        "wrong_path": wrong_path,
-        "params": core_params(checker_params if check else None).to_dict(),
-        "unchecked": baseline_stats.to_dict(),
-    }
-    if check:
-        checked = SuperscalarCore(
-            core_params(checker_params),
-            hierarchy=hierarchy(),
-            wrong_path_source=wp_source,
-            tracer=obs.tracer_for("checked") if obs is not None else None,
-        )
-        checked_stats = checked.run(trace)
-        if obs is not None:
-            obs.record_telemetry("checked", checked.telemetry)
-            checked_stats.register_metrics(obs.registry, "checked.")
-        result["checked"] = checked_stats.to_dict()
-        # None (JSON null) rather than inf: json.dumps would emit the
-        # non-RFC-8259 literal `Infinity` for float("inf").
-        result["slowdown"] = (
-            baseline_stats.ipc / checked_stats.ipc if checked_stats.ipc else None
-        )
-        result["fault_coverage"] = _coverage(result["checked"])
-    return result
-
-
-def _coverage(checked: dict) -> float:
-    live = checked["faults_injected"] - checked["faults_squashed"]
-    if live <= 0:
-        return 1.0
-    return checked["faults_detected"] / live
 
 
 def format_report(result: dict) -> str:
@@ -346,7 +210,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--wrong-path-depth",
         type=int,
-        default=_DEFAULT_WRONG_PATH_DEPTH,
+        default=DEFAULT_WRONG_PATH_DEPTH,
         help="max micro-ops fetched down one wrong path before waiting for resolution",
     )
     parser.add_argument(
@@ -816,27 +680,19 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "observability outputs trace one experiment; drop --all-presets "
             "or run presets individually"
         )
-    if args.fault_burst < 1:
-        parser.error(f"--fault-burst must be >= 1, got {args.fault_burst}")
-    if args.fault_repair_cycles < 1:
-        parser.error(
-            f"--fault-repair-cycles must be >= 1, got {args.fault_repair_cycles}"
+    # The model knobs ride the base checker params (whose own validation
+    # rejects bad ones); run_experiment layers enabled/fault_rate/fault_seed
+    # on top, so the model selection survives into the checked core.
+    try:
+        checker = CheckerParams(
+            fault_model=args.fault_model,
+            fault_burst=args.fault_burst,
+            fault_fu=args.fault_fu,
+            fault_repair_cycles=args.fault_repair_cycles,
         )
-    base_kwargs: dict = {}
-    # Off-default model knobs ride the base checker params; run_experiment
-    # layers enabled/fault_rate/fault_seed on top with replace(), so the
-    # model selection survives into the checked core.
-    fault_kwargs: dict = {}
-    if args.fault_model != "transient":
-        fault_kwargs["fault_model"] = args.fault_model
-    if args.fault_burst != 4:
-        fault_kwargs["fault_burst"] = args.fault_burst
-    if args.fault_fu != "IALU":
-        fault_kwargs["fault_fu"] = args.fault_fu
-    if args.fault_repair_cycles != 200:
-        fault_kwargs["fault_repair_cycles"] = args.fault_repair_cycles
-    if fault_kwargs:
-        base_kwargs["checker"] = CheckerParams(**fault_kwargs)
+    except ValueError as exc:
+        parser.error(f"bad fault model option: {exc}")
+    base_kwargs: dict = {"checker": checker}
     if args.frontend_depth:
         base_kwargs["frontend_depth"] = args.frontend_depth
     if args.memdep:
@@ -848,7 +704,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             checkpoint_interval=args.checkpoint_interval,
             checkpoint_overhead=args.checkpoint_overhead,
         )
-    base_params = CoreParams(**base_kwargs) if base_kwargs else None
+    base_params = CoreParams(**base_kwargs)
     obs = (
         ObsSession(
             trace_out=args.trace_out,
@@ -862,53 +718,33 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         else None
     )
     names = list(PRESET_NAMES) if args.all_presets else [args.preset]
+    run = run_experiment
     if args.shards > 1:
-        # Deferred: repro.parallel pulls in the sweep runner, which
-        # imports this module.
-        from repro.parallel import DEFAULT_SHARD_WARMUP, run_sharded_experiment
-
-        results = [
-            run_sharded_experiment(
-                PRESETS[name],
-                num_ops=args.ops,
-                seed=args.seed,
-                shards=args.shards,
-                warmup=(
-                    args.shard_warmup
-                    if args.shard_warmup is not None
-                    else DEFAULT_SHARD_WARMUP
-                ),
-                check=args.check,
-                fault_rate=args.fault_rate,
-                real_predictor=args.real_predictor,
-                wrong_path=not args.no_wrong_path,
-                wrong_path_depth=args.wrong_path_depth,
-                params=base_params,
-                dcache_banks=args.dcache_banks,
-                store_alias_fraction=args.store_alias_fraction,
-                workers=args.shard_workers,
-                obs=obs,
-            )
-            for name in names
-        ]
-    else:
-        results = [
-            run_experiment(
-                PRESETS[name],
-                num_ops=args.ops,
-                seed=args.seed,
-                check=args.check,
-                fault_rate=args.fault_rate,
-                real_predictor=args.real_predictor,
-                wrong_path=not args.no_wrong_path,
-                wrong_path_depth=args.wrong_path_depth,
-                params=base_params,
-                dcache_banks=args.dcache_banks,
-                store_alias_fraction=args.store_alias_fraction,
-                obs=obs,
-            )
-            for name in names
-        ]
+        run = functools.partial(
+            run_sharded_experiment,
+            shards=args.shards,
+            warmup=(
+                args.shard_warmup if args.shard_warmup is not None else DEFAULT_SHARD_WARMUP
+            ),
+            workers=args.shard_workers,
+        )
+    results = [
+        run(
+            PRESETS[name],
+            num_ops=args.ops,
+            seed=args.seed,
+            check=args.check,
+            fault_rate=args.fault_rate,
+            real_predictor=args.real_predictor,
+            wrong_path=not args.no_wrong_path,
+            wrong_path_depth=args.wrong_path_depth,
+            params=base_params,
+            dcache_banks=args.dcache_banks,
+            store_alias_fraction=args.store_alias_fraction,
+            obs=obs,
+        )
+        for name in names
+    ]
     payload = results if args.all_presets else results[0]
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -940,10 +776,6 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    # Imported here (not module level): repro.experiments imports
-    # run_experiment from this module.
-    from repro.experiments import ResultsStore, SweepSpec, run_sweep
-
     if args.workers <= 0:
         parser.error(f"--workers must be positive, got {args.workers}")
     try:
@@ -1008,7 +840,6 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import ResultsStore
     from repro.experiments.campaign import (
         DEFAULT_CAMPAIGN_JSON,
         DEFAULT_CAMPAIGN_STORE,
@@ -1063,7 +894,7 @@ def _cmd_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import ResultsStore, aggregate, render_text, write_bench_json
+    from repro.experiments import aggregate, render_text, write_bench_json
     from repro.experiments import write_csv_tables
 
     store = ResultsStore(args.store)
@@ -1180,11 +1011,6 @@ def _cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Legacy interface: `python -m repro --preset int-heavy --check` (and
-    # the bare `python -m repro`) predate subcommands and mean `run`.
-    if not argv or (argv[0] not in COMMANDS and argv[0] not in ("-h", "--help")):
-        argv = ["run", *argv]
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = {

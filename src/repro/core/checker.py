@@ -36,8 +36,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.dynop import DynOp
-from repro.core.sched import EV_CHECK_DONE, CheckQueue, EventWheel
-from repro.core.scheduler import FUPool
+from repro.core.sched import EV_CHECK_DONE, CheckQueue, EventWheel, FUPool
 from repro.core.stats import CoreStats
 from repro.isa.opcodes import OpClass, UNPIPELINED_OPS, fu_class_for
 from repro.isa.registers import REG_ZERO

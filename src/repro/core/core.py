@@ -83,9 +83,9 @@ from repro.core.sched import (
     EV_MEM_VIOLATION,
     DeadlockError,
     EventWheel,
+    FUPool,
     ReadyQueue,
 )
-from repro.core.scheduler import FUPool
 from repro.core.stats import CoreStats
 from repro.core.storesets import StoreSetPredictor
 from repro.isa.instruction import MicroOp, format_microop
@@ -118,9 +118,9 @@ class SuperscalarCore:
         self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy()
         # Observability is opt-in objects, not no-op objects: with no
         # tracer the commit/recovery paths hold None and pay one is-None
-        # test per finalized op; with telemetry_interval == 0 the run loop
-        # is the uninstrumented one.  May also be assigned directly before
-        # calling run() (the CLI does).
+        # test per finalized op; with telemetry_interval == 0 the cycle
+        # loop's sampling boundary is never reached.  May also be assigned
+        # directly before calling run().
         self.tracer = tracer
         self.telemetry: IntervalTelemetry | None = None
         self._owns_predictor = predictor is None and self.params.use_real_predictor
@@ -269,7 +269,7 @@ class SuperscalarCore:
         # Wrong-path seqs start past the trace so they always read as
         # "younger than any real op" to the squash machinery.
         self._wp_next_seq = len(self._trace)
-        # run() overwrites this with the real bound before the cycle loop;
+        # run_window() overwrites this with the real bound before the cycle loop;
         # the default covers direct _step()-driven unit tests.
         self._cycle_limit = 10_000 + 400 * len(self._trace)
         self._now = 0
@@ -285,63 +285,7 @@ class SuperscalarCore:
                 deadlock guard, not an expected exit.  The message names
                 the stuck oldest op and its unmet dependencies.
         """
-        self._trace = trace  # before the reset: wrong-path seqs start past it
-        self._reset_run_state()
-        limit = max_cycles if max_cycles is not None else 10_000 + 400 * len(trace)
-        # Cycle skipping must not leap past the deadlock guard: a stuck run
-        # still stops (and reports its state) at limit + 1, as if ticking.
-        self._cycle_limit = limit
-        started = time.perf_counter()
-        step = self._step
-        trace_len = len(trace)
-        window = self._window
-        skip = self._skip_enabled
-        ready_heap = self._ready_heap
-        maybe_skip = self._maybe_skip
-        telemetry = self.telemetry
-        if telemetry is None:
-            while self._fetch_index < trace_len or window:
-                if self._now > limit:
-                    raise DeadlockError(self._deadlock_report(limit))
-                step()
-                # Cycle skipping: with nothing ready to issue, jump straight
-                # to the next cycle where anything can happen (_maybe_skip).
-                if skip and not ready_heap:
-                    maybe_skip()
-        else:
-            # Instrumented twin of the loop above: one boundary comparison
-            # per cycle, a delta sample at each crossing.  Kept as a
-            # separate loop so the telemetry-off path above is verbatim
-            # unchanged.  A cycle skip that jumps several boundaries yields
-            # one sample spanning the gap (its `cycles` field says so).
-            next_at = telemetry.next_boundary(self._now)
-            while self._fetch_index < trace_len or window:
-                if self._now > limit:
-                    telemetry.finalize(self._now)
-                    raise DeadlockError(
-                        self._flight_recorder_report(limit, telemetry),
-                        samples=telemetry.recent_samples(),
-                    )
-                step()
-                if self._now >= next_at:
-                    telemetry.sample(self._now)
-                    next_at = telemetry.next_boundary(self._now)
-                if skip and not ready_heap:
-                    maybe_skip()
-            telemetry.finalize(self._now)
-        self.stats.cycles = self._now
-        if self.fault_injector is not None:
-            self.stats.faults_injected = self.fault_injector.injected
-        if self._fault_tracker is not None:
-            # Committed-and-still-live silent faults resolve as SDC; after
-            # this every injected fault has exactly one outcome.
-            self._fault_tracker.finalize(self._now)
-        if self._storesets is not None:
-            self.stats.ssit_decays = self._storesets.decays
-        self.stats.wall_seconds = time.perf_counter() - started
-        self.stats.sched_events = self._wheel.posted
-        self.stats.memory = self.hierarchy.snapshot()
-        return self.stats
+        return self.run_window(trace, 0, max_cycles)
 
     def run_window(
         self,
@@ -369,59 +313,52 @@ class SuperscalarCore:
         wrong-path episode) deliberately carries across: splitting such
         state between windows is what would make shard sums diverge from
         the monolithic run far more than the boundary approximation does.
+
+        Raises:
+            ValueError: if ``warmup_ops > 0`` with interval telemetry on
+                (samples would straddle the discarded prefix).
         """
-        if warmup_ops <= 0:
-            return self.run(trace, max_cycles=max_cycles)
         self._trace = trace  # before the reset: wrong-path seqs start past it
         self._reset_run_state()
-        if self.telemetry is not None:
+        telemetry = self.telemetry
+        if warmup_ops > 0 and telemetry is not None:
             raise ValueError(
                 "interval telemetry is not supported with warm-start windows"
             )
         limit = max_cycles if max_cycles is not None else 10_000 + 400 * len(trace)
+        # Cycle skipping must not leap past the deadlock guard: a stuck run
+        # still stops (and reports its state) at limit + 1, as if ticking.
         self._cycle_limit = limit
         started = time.perf_counter()
-        step = self._step
-        trace_len = len(trace)
-        window = self._window
-        skip = self._skip_enabled
-        ready_heap = self._ready_heap
-        maybe_skip = self._maybe_skip
         stats = self.stats
-        # --- warmup phase: the plain run loop, halted at the first cycle
-        # boundary where the commit count has reached the warmup target ---
-        while (self._fetch_index < trace_len or window) and stats.committed < warmup_ops:
-            if self._now > limit:
-                raise DeadlockError(self._deadlock_report(limit))
-            step()
-            if skip and not ready_heap:
-                maybe_skip()
-        # --- measurement boundary: snapshot what must be subtracted at
-        # finalize, then zero the window counters in place (subsystems hold
-        # references to this stats object).  `committed` stays cumulative
-        # — the checkpointing policy keys off it — and is re-based below.
-        base_cycle = self._now
-        base_committed = stats.committed
-        base_injected = (
-            self.fault_injector.injected if self.fault_injector is not None else 0
-        )
-        base_decays = self._storesets.decays if self._storesets is not None else 0
-        base_memory = self.hierarchy.raw_counters()
-        base_posted = self._wheel.posted
-        stats.reset_window()
-        stats.committed = base_committed
-        # --- measured phase: the telemetry-off run loop, verbatim ---
-        while self._fetch_index < trace_len or window:
-            if self._now > limit:
-                raise DeadlockError(self._deadlock_report(limit))
-            step()
-            if skip and not ready_heap:
-                maybe_skip()
+        base_cycle = base_committed = base_injected = base_decays = base_posted = 0
+        base_memory = None
+        if warmup_ops > 0:
+            self._advance(limit, warmup_ops)
+            # Measurement boundary: snapshot what the finalize below
+            # subtracts, then zero the window counters in place (subsystems
+            # hold references to this stats object).  `committed` stays
+            # cumulative — the checkpointing policy keys off it.
+            base_cycle = self._now
+            base_committed = stats.committed
+            if self.fault_injector is not None:
+                base_injected = self.fault_injector.injected
+            if self._storesets is not None:
+                base_decays = self._storesets.decays
+            base_memory = self.hierarchy.raw_counters()
+            base_posted = self._wheel.posted
+            stats.reset_window()
+            stats.committed = base_committed
+        self._advance(limit)
+        if telemetry is not None:
+            telemetry.finalize(self._now)
         stats.cycles = self._now - base_cycle
         stats.committed -= base_committed
         if self.fault_injector is not None:
             stats.faults_injected = self.fault_injector.injected - base_injected
         if self._fault_tracker is not None:
+            # Committed-and-still-live silent faults resolve as SDC; after
+            # this every injected fault has exactly one outcome.
             self._fault_tracker.finalize(self._now)
         if self._storesets is not None:
             stats.ssit_decays = self._storesets.decays - base_decays
@@ -430,18 +367,53 @@ class SuperscalarCore:
         stats.memory = self.hierarchy.snapshot(baseline=base_memory)
         return stats
 
-    def _flight_recorder_report(
-        self, limit: int, telemetry: IntervalTelemetry
-    ) -> str:
-        """Deadlock report plus the telemetry flight recorder's last samples."""
+    def _advance(self, limit: int, stop: int | None = None) -> None:
+        """The cycle loop: step until the trace drains, or until ``stop``
+        commits when given.
+
+        Telemetry sampling is a boundary comparison per step; with
+        telemetry off the boundary sits past the deadlock guard, where
+        ``now`` never gets (a step or a skip lands at most on limit + 1).
+        The commit stop defaults past the trace length, equally unreachable.
+        """
+        step = self._step
+        trace_len = self._trace_len
+        window = self._window
+        stats = self.stats
+        skip = self._skip_enabled
+        ready_heap = self._ready_heap
+        maybe_skip = self._maybe_skip
+        telemetry = self.telemetry
+        next_at = limit + 2 if telemetry is None else telemetry.next_boundary(self._now)
+        if stop is None:
+            stop = trace_len + 1
+        while (self._fetch_index < trace_len or window) and stats.committed < stop:
+            if self._now > limit:
+                raise self._deadlock(limit)
+            step()
+            if self._now >= next_at:
+                # A cycle skip that jumps several boundaries yields one
+                # sample spanning the gap (its `cycles` field says so).
+                telemetry.sample(self._now)
+                next_at = telemetry.next_boundary(self._now)
+            # Cycle skipping: with nothing ready to issue, jump straight
+            # to the next cycle where anything can happen (_maybe_skip).
+            if skip and not ready_heap:
+                maybe_skip()
+
+    def _deadlock(self, limit: int) -> DeadlockError:
+        """The guard's exception, with the telemetry flight recorder's last
+        samples attached (and appended to the message) when sampling is on."""
         report = self._deadlock_report(limit)
+        telemetry = self.telemetry
+        if telemetry is None:
+            return DeadlockError(report)
+        telemetry.finalize(self._now)
         samples = telemetry.recent_samples()
         if samples:
-            lines = [report, f"flight recorder (last {len(samples)} telemetry samples):"]
-            for row in samples:
-                lines.append("  " + json.dumps(row, sort_keys=True))
-            report = "\n".join(lines)
-        return report
+            report += f"\nflight recorder (last {len(samples)} telemetry samples):"
+            report += "".join("\n  " + json.dumps(row, sort_keys=True) for row in samples)
+        return DeadlockError(report, samples=samples)
 
     def _deadlock_report(self, limit: int) -> str:
         """Describe why the window is stuck (for :class:`DeadlockError`)."""
@@ -1191,14 +1163,3 @@ class SuperscalarCore:
                 self._wp_saved_producers = dict(self._reg_producer)
             return True
         return False
-
-    # -------------------------------------------------------------- recovery
-
-    def _recover(self, faulty: DynOp, now: int) -> None:
-        """Fault-recovery entry point; delegates to the recovery subsystem.
-
-        See :meth:`~repro.core.recovery.RecoveryManager.recover_fault` for
-        the squash-and-replay semantics and the checkpoint-rollback stall
-        model.
-        """
-        self._recovery.recover_fault(faulty, now)

@@ -23,6 +23,10 @@ that replace those scans:
   ops enter at rename in program order; the head is the only op the
   in-order check pipeline can start next, so eligibility is a head test,
   not a window scan.  Squashed entries are dropped lazily at the head.
+* :class:`FUPool` — per-cycle functional-unit availability, shared by
+  primary issue and the checker within a cycle: the checker can only
+  take what the primary stream left idle, which is exactly the resource
+  sharing the paper exploits.
 
 Determinism note: the kernel is a pure restructuring of the per-cycle
 scans.  Events within a cycle are applied before the pipeline stages run,
@@ -37,7 +41,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+
+from repro.isa.opcodes import FU_CLASSES, FUClass
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.dynop import DynOp
@@ -201,3 +207,114 @@ class CheckQueue:
 
     def __len__(self) -> int:
         return len(self._queue)
+
+
+class FUPool:
+    """Per-class functional-unit availability with unpipelined blocking.
+
+    Tracks how many issues each unit class has accepted this cycle
+    (pipelined units accept one new op per unit per cycle) and which units
+    in-flight unpipelined divides block across cycles.
+    """
+
+    def __init__(self, counts: Mapping[FUClass, int]):
+        # List storage indexed by FUClass (an IntEnum): the issue loops hit
+        # these several times per op, and list indexing beats dict hashing.
+        self._counts: list[int] = [0] * len(FU_CLASSES)
+        for cls, count in counts.items():
+            self._counts[cls] = count
+        self._used: list[int] = [0] * len(FU_CLASSES)
+        # busy-until cycles of units blocked by in-flight unpipelined ops
+        self._blocked: list[list[int]] = [[] for _ in FU_CLASSES]
+        self._cycle = -1
+        # Issue-count reset in begin_cycle only touches classes that issued
+        # last cycle; unpipelined reservations are rare enough to track with
+        # one flag instead of four per-cycle list scans.
+        self._used_classes: list[int] = []
+        self._any_blocked = False
+
+    def begin_cycle(self, now: int) -> None:
+        """Reset per-cycle issue counts and release finished unpipelined units."""
+        self._cycle = now
+        used_classes = self._used_classes
+        if used_classes:
+            used = self._used
+            for cls in used_classes:
+                used[cls] = 0
+            used_classes.clear()
+        if self._any_blocked:
+            blocked_lists = self._blocked
+            any_left = False
+            for cls in FU_CLASSES:
+                blocked = blocked_lists[cls]
+                if blocked:
+                    blocked_lists[cls] = blocked = [end for end in blocked if end > now]
+                    if blocked:
+                        any_left = True
+            self._any_blocked = any_left
+
+    def available(self, cls: FUClass) -> int:
+        """Units of ``cls`` that can still accept an op this cycle."""
+        return self._counts[cls] - self._used[cls] - len(self._blocked[cls])
+
+    def acquire(self, cls: FUClass, busy_until: int | None = None) -> None:
+        """Issue one op to a ``cls`` unit.
+
+        Args:
+            busy_until: For unpipelined ops, the completion cycle through
+                which the unit stays blocked; ``None`` for pipelined ops.
+
+        Raises:
+            RuntimeError: if no unit is available (callers must check
+                :meth:`available` first).
+        """
+        if self.available(cls) <= 0:
+            raise RuntimeError(f"no {cls.name} unit available at cycle {self._cycle}")
+        if busy_until is not None:
+            # The blocked entry covers the issue cycle too (busy_until is
+            # in the future), so counting it in _used as well would make
+            # one divide occupy two units this cycle.
+            self._blocked[cls].append(busy_until)
+            self._any_blocked = True
+        else:
+            if not self._used[cls]:
+                self._used_classes.append(cls)
+            self._used[cls] += 1
+
+    def try_acquire(self, cls: FUClass, busy_until: int | None = None) -> bool:
+        """Fused :meth:`available` + :meth:`acquire` for the issue hot path.
+
+        Returns False (without side effects) when no ``cls`` unit can accept
+        an op this cycle.
+        """
+        if self._counts[cls] - self._used[cls] - len(self._blocked[cls]) <= 0:
+            return False
+        if busy_until is not None:
+            self._blocked[cls].append(busy_until)
+            self._any_blocked = True
+        else:
+            if not self._used[cls]:
+                self._used_classes.append(cls)
+            self._used[cls] += 1
+        return True
+
+    def release(self, cls: FUClass, busy_until: int) -> bool:
+        """Free one unit blocked through ``busy_until`` (a squashed op).
+
+        Squash-and-replay removes ops from the window, but an in-flight
+        unpipelined op's reservation would otherwise keep its unit blocked
+        for the full latency of work that no longer exists.  Returns True
+        if a matching reservation was found and removed; False if it had
+        already expired (``begin_cycle`` dropped it) — a no-op, not an
+        error, so callers can release unconditionally at squash time.
+        """
+        blocked = self._blocked[cls]
+        if busy_until in blocked:
+            blocked.remove(busy_until)
+            return True
+        return False
+
+    def utilization(self, classes: Iterable[FUClass] | None = None) -> dict[FUClass, int]:
+        """Current-cycle issues per class (for stats and tests)."""
+        wanted = tuple(classes) if classes is not None else FU_CLASSES
+        return {cls: self._used[cls] for cls in wanted}

@@ -33,23 +33,19 @@ import math
 import random
 import time
 import tomllib
-import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.experiments.runner import (
-    ELAPSED_KEY,
-    PointTimeout,
-    STARTED_KEY,
-    WORKER_KEY,
-    _wall_clock_limit,
+    ProgressFn,
+    ordered_rows,
+    pending_configs,
+    point_row,
+    strip_transport,
 )
 from repro.experiments.spec import SCHEMA_VERSION, config_hash
 from repro.experiments.store import ResultsStore
-
-#: Progress callback, same shape as the sweep runner's.
-ProgressFn = Callable[[int, int, dict], None]
 
 #: z for the 95% Wilson score interval.
 WILSON_Z = 1.96
@@ -104,7 +100,7 @@ class CampaignSpec:
     fault_repair_cycles: int = 200
 
     def __post_init__(self) -> None:
-        from repro.faults.models import FAULT_MODELS
+        from repro.core.params import CheckerParams
         from repro.workloads import PRESET_NAMES
 
         if not self.name:
@@ -126,11 +122,16 @@ class CampaignSpec:
                 raise ValueError(
                     f"unknown preset {preset_name!r}; choose from {list(PRESET_NAMES)}"
                 )
+        # Every cell's checker is built from these knobs, so the checker's
+        # own validation rejects a bad model or knob here, at load time,
+        # instead of turning every calibration into an error row.
         for model in self.fault_models:
-            if model not in FAULT_MODELS:
-                raise ValueError(
-                    f"unknown fault model {model!r}; choose from {FAULT_MODELS}"
-                )
+            CheckerParams(
+                fault_model=model,
+                fault_burst=self.fault_burst,
+                fault_fu=self.fault_fu,
+                fault_repair_cycles=self.fault_repair_cycles,
+            )
 
     def cells(self) -> list[tuple[str, str]]:
         """(preset, model) pairs in spec order — the campaign's grid."""
@@ -206,42 +207,19 @@ class CampaignSpec:
 def execute_campaign_point(
     config: dict[str, Any], timeout_s: float | None = None
 ) -> dict[str, Any]:
-    """Run one calibration or trial; always returns a row, never raises.
-
-    Top-level and picklable, with the same crash-isolation and
-    transport-key contract as the sweep runner's ``execute_point``.
-    """
-    row: dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "config_hash": config_hash(config),
-        "config": config,
-        STARTED_KEY: time.time(),
-        WORKER_KEY: _pid(),
-    }
-    started = time.perf_counter()
-    try:
-        with _wall_clock_limit(timeout_s):
-            result = _simulate_campaign_point(config)
-    except PointTimeout:
-        row["status"] = "error"
-        row["error"] = f"timeout: point exceeded its {timeout_s}s wall-clock budget"
-        row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-        return row
-    except Exception:
-        row["status"] = "error"
-        row["error"] = traceback.format_exc()
-        row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-        return row
-    row["status"] = "ok"
-    row["result"] = result
-    row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-    return row
+    """Run one calibration or trial into a row (see ``runner.point_row``)."""
+    return point_row(config, _simulate_campaign_point, timeout_s)
 
 
-def _pid() -> int:
-    import os
-
-    return os.getpid()
+#: Campaign config keys that are :class:`CheckerParams` fields, carried
+#: onto the checked core only when the config holds them.
+_CHECKER_KEYS = (
+    "fault_model",
+    "fault_burst",
+    "fault_fu",
+    "fault_repair_cycles",
+    "force_fault_index",
+)
 
 
 def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
@@ -251,28 +229,22 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
     nothing about outcomes, and skipping it halves the per-trial cost.
     Imports are deferred so spawn-method pool workers pay them here.
     """
-    from repro.core.core import SuperscalarCore
+    import repro.workloads as workloads
     from repro.core.params import CheckerParams, CoreParams
     from repro.faults.outcomes import zero_outcomes
-    from repro.workloads import WrongPathGenerator, generate, preset
+    from repro.simulate import build_core
 
-    profile = preset(config["preset"])
+    profile = workloads.preset(config["preset"])
     seed = config["seed"]
-    trace = generate(profile, config["ops"], seed=seed)
-    checker = CheckerParams(
-        enabled=True,
+    trace = workloads.generate(profile, config["ops"], seed=seed)
+    checker = CheckerParams(**{key: config[key] for key in _CHECKER_KEYS if key in config})
+    core = build_core(
+        profile,
+        CoreParams(checker=checker),
+        seed=seed,
+        check=True,
         fault_rate=0.0,
-        fault_seed=config.get("fault_seed", seed + 1),
-        fault_model=config["fault_model"],
-        fault_burst=config.get("fault_burst", 4),
-        fault_fu=config.get("fault_fu", "IALU"),
-        fault_repair_cycles=config.get("fault_repair_cycles", 200),
-        force_fault_index=config.get("force_fault_index"),
-    )
-    params = CoreParams(wrong_path_seed=seed, checker=checker)
-    core = SuperscalarCore(
-        params,
-        wrong_path_source=WrongPathGenerator(profile, seed=seed).iter_stream,
+        fault_seed=config.get("fault_seed"),
     )
     stats = core.run(trace)
     if stats.fault_model_enabled:
@@ -285,12 +257,14 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
         outcomes["detected"] = stats.faults_detected
         outcomes["squashed"] = stats.faults_squashed
     return {
-        "eligible": core.fault_injector.eligible,
-        "injected": stats.faults_injected,
-        "outcomes": outcomes,
-        "cycles": stats.cycles,
-        "committed": stats.committed,
-        "recoveries": stats.recoveries,
+        "result": {
+            "eligible": core.fault_injector.eligible,
+            "injected": stats.faults_injected,
+            "outcomes": outcomes,
+            "cycles": stats.cycles,
+            "committed": stats.committed,
+            "recoveries": stats.recoveries,
+        }
     }
 
 
@@ -318,21 +292,6 @@ class CampaignSummary:
         }
 
 
-def _result_rows(
-    configs: list[dict[str, Any]], workers: int, timeout_s: float | None
-) -> Iterator[dict[str, Any]]:
-    """Ordered fan-out, identical discipline to the sweep runner."""
-    import functools
-    import multiprocessing
-
-    worker = functools.partial(execute_campaign_point, timeout_s=timeout_s)
-    if workers <= 1 or len(configs) <= 1:
-        yield from map(worker, configs)
-        return
-    with multiprocessing.Pool(processes=min(workers, len(configs))) as pool:
-        yield from pool.imap(worker, configs, chunksize=1)
-
-
 def _run_pending(
     configs: list[dict[str, Any]],
     store: ResultsStore,
@@ -342,20 +301,12 @@ def _run_pending(
     counters: dict[str, int],
 ) -> None:
     """Execute the configs whose hashes the store does not yet cover."""
-    done = store.completed_hashes()
-    seen: set[str] = set()
-    pending: list[dict[str, Any]] = []
-    for config in configs:
-        digest = config_hash(config)
-        if digest in done or digest in seen:
-            counters["cached"] += 1
-            continue
-        seen.add(digest)
-        pending.append(config)
-    for row in _result_rows(pending, workers, timeout_s):
-        row.pop(ELAPSED_KEY, None)
-        row.pop(STARTED_KEY, None)
-        row.pop(WORKER_KEY, None)
+    pending, cached = pending_configs(configs, store)
+    counters["cached"] += cached
+    # execute_campaign_point is looked up at call time, so a wrapper
+    # installed on this module attribute sees every point.
+    for row in ordered_rows(execute_campaign_point, pending, workers, timeout_s):
+        strip_transport(row)
         store.append(row)
         counters["executed"] += 1
         if row.get("status") != "ok":

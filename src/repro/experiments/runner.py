@@ -1,16 +1,20 @@
-"""Multiprocess sweep execution.
+"""Multiprocess point execution for sweeps and campaigns.
 
 ``run_sweep`` expands a :class:`~repro.experiments.spec.SweepSpec`, drops
 every point whose config hash is already in the store (resume/caching),
-and fans the rest out over a :mod:`multiprocessing` pool.  Three
-properties the tests pin down:
+and fans the rest out over a :mod:`multiprocessing` pool.  Campaigns
+(:mod:`repro.experiments.campaign`) run their calibrations and trials
+through the same three pieces: :func:`point_row` (one crash- and
+timeout-guarded row), :func:`ordered_rows` (the ordered fan-out) and
+:func:`pending_configs` (the resume filter).  Three properties the tests
+pin down:
 
 * **Determinism** — each point's config carries its own seeds (workload
   seed, fault seed = seed + 1, wrong-path seed) and workers share no
   state, so results are a pure function of the config.  Rows are appended
   in submission order (``imap``, not ``imap_unordered``), making the
   store byte-identical for any ``--workers`` value.
-* **Crash isolation** — :func:`execute_point` catches everything and
+* **Crash isolation** — :func:`point_row` catches everything and
   returns an error row; one pathological point cannot take down the sweep,
   and error rows are retried on the next invocation.
 * **Streaming** — rows are appended (and progress reported) as each point
@@ -28,7 +32,7 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.experiments.spec import RunPoint, SCHEMA_VERSION, config_hash
 from repro.experiments.store import ResultsStore
@@ -39,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Progress callback: (completed count, pending total, the row just stored).
 ProgressFn = Callable[[int, int, dict], None]
-
 #: Transient row key carrying the point's wall time from the worker to the
 #: parent.  Popped before the row reaches the store: store rows must stay a
 #: pure function of the config (byte-identical across machines and worker
@@ -116,18 +119,18 @@ def _wall_clock_limit(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
-def execute_point(
-    config: dict[str, Any], timeout_s: float | None = None
+def point_row(
+    config: dict[str, Any],
+    simulate: Callable[[dict[str, Any]], dict[str, Any]],
+    timeout_s: float | None = None,
 ) -> dict[str, Any]:
-    """Run one grid point; always returns a row, never raises.
+    """Run one point through ``simulate``; always returns a row, never raises.
 
-    Top-level (picklable) so it works under any multiprocessing start
-    method.  The import is deferred so pool workers spawned under
-    ``spawn`` pay it once here rather than at module import in the parent.
-    A point that exceeds ``timeout_s`` wall seconds becomes an error row —
-    retried by the next invocation like any other error — instead of a
-    stuck worker.  The row's ``_elapsed_s`` is transport-only (see
-    :data:`ELAPSED_KEY`).
+    ``simulate(config)`` returns the fields a success row adds (at least
+    ``result``).  An exception, or a run past ``timeout_s`` wall seconds,
+    becomes an error row instead — retried by the next invocation.  The
+    row's transport keys must be stripped (:func:`strip_transport`)
+    before it is stored.
     """
     row: dict[str, Any] = {
         "schema": SCHEMA_VERSION,
@@ -138,60 +141,75 @@ def execute_point(
     }
     started = time.perf_counter()
     try:
-        from repro.cli import run_experiment
-        from repro.workloads import preset
-
-        point = RunPoint.from_config(config)
-        row["group_hash"] = point.group_hash()
         with _wall_clock_limit(timeout_s):
-            result = run_experiment(
-                preset(point.preset),
-                num_ops=point.ops,
-                seed=point.seed,
-                check=True,
-                fault_rate=point.fault_rate,
-                real_predictor=point.real_predictor,
-                wrong_path=point.wrong_path,
-                wrong_path_depth=point.wrong_path_depth,
-                params=point.core_params(),
-                dcache_banks=point.dcache_banks,
-                store_alias_fraction=(
-                    point.store_alias_fraction if point.store_alias_fraction else None
-                ),
-            )
+            fields = simulate(config)
     except PointTimeout:
         row["status"] = "error"
-        row["error"] = (
-            f"timeout: point exceeded its {timeout_s}s wall-clock budget"
-        )
-        row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-        return row
+        row["error"] = f"timeout: point exceeded its {timeout_s}s wall-clock budget"
     except Exception:
         row["status"] = "error"
         row["error"] = traceback.format_exc()
-        row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
-        return row
-    row["status"] = "ok"
-    row["result"] = result
+    else:
+        row["status"] = "ok"
+        row.update(fields)
     row[ELAPSED_KEY] = round(time.perf_counter() - started, 3)
     return row
 
 
-def _pending_points(
-    points: Iterable[RunPoint], store: ResultsStore
-) -> tuple[list[RunPoint], int]:
-    """Points still to run, and how many the store (or in-grid dupes) covers."""
+def strip_transport(row: dict[str, Any]) -> tuple[float, float | None, int]:
+    """Pop the transport keys: (elapsed seconds, wall start, worker pid)."""
+    return (
+        row.pop(ELAPSED_KEY, 0.0),
+        row.pop(STARTED_KEY, None),
+        row.pop(WORKER_KEY, 0),
+    )
+
+
+def execute_point(
+    config: dict[str, Any], timeout_s: float | None = None
+) -> dict[str, Any]:
+    """Run one sweep grid point into a row (see :func:`point_row`)."""
+    return point_row(config, _simulate_point, timeout_s)
+
+
+def _simulate_point(config: dict[str, Any]) -> dict[str, Any]:
+    from repro.simulate import run_experiment
+    from repro.workloads import preset
+
+    point = RunPoint.from_config(config)
+    return {
+        "group_hash": point.group_hash(),
+        "result": run_experiment(
+            preset(point.preset),
+            num_ops=point.ops,
+            seed=point.seed,
+            check=True,
+            fault_rate=point.fault_rate,
+            real_predictor=point.real_predictor,
+            wrong_path=point.wrong_path,
+            wrong_path_depth=point.wrong_path_depth,
+            params=point.core_params(),
+            dcache_banks=point.dcache_banks,
+            store_alias_fraction=point.store_alias_fraction or None,
+        ),
+    }
+
+
+def pending_configs(
+    configs: list[dict[str, Any]], store: ResultsStore
+) -> tuple[list[dict[str, Any]], int]:
+    """Configs still to run, and how many the store (or in-list dupes) covers."""
     done = store.completed_hashes()
     seen: set[str] = set()
-    pending: list[RunPoint] = []
+    pending: list[dict[str, Any]] = []
     cached = 0
-    for point in points:
-        digest = point.config_hash()
+    for config in configs:
+        digest = config_hash(config)
         if digest in done or digest in seen:
             cached += 1
             continue
         seen.add(digest)
-        pending.append(point)
+        pending.append(config)
     return pending, cached
 
 
@@ -254,10 +272,12 @@ def run_sweep(
     if retry_backoff_s < 0:
         raise ValueError(f"retry_backoff_s must be non-negative, got {retry_backoff_s}")
     points = spec.points()
-    pending, cached = _pending_points(points, store)
     timings = store.load_timings()
-    pending = _schedule_pending(pending, timings)
-    configs = [point.config() for point in pending]
+    # Scheduling before the resume filter is the same order: the filter
+    # keeps its input order, and grid duplicates share one config.
+    configs, cached = pending_configs(
+        [point.config() for point in _schedule_pending(points, timings)], store
+    )
     executed = 0
     errors = 0
     retried = 0
@@ -265,7 +285,7 @@ def run_sweep(
     busy = 0.0
     new_timings: dict[str, float] = {}
     started = time.perf_counter()
-    for row in _result_rows(configs, workers, timeout_s):
+    for row in ordered_rows(execute_point, configs, workers, timeout_s):
         # In-invocation retry: re-run error rows in the parent (crash
         # isolation still holds — execute_point never raises) with
         # exponential backoff, keeping whichever row the last attempt
@@ -277,9 +297,7 @@ def run_sweep(
             attempt += 1
             retried += 1
             row = execute_point(row["config"], timeout_s)
-        elapsed = row.pop(ELAPSED_KEY, 0.0)
-        started_at = row.pop(STARTED_KEY, None)
-        worker = row.pop(WORKER_KEY, 0)
+        elapsed, started_at, worker = strip_transport(row)
         slowest = max(slowest, elapsed)
         busy += elapsed
         digest = row.get("config_hash")
@@ -334,10 +352,17 @@ def run_sweep(
     return summary
 
 
-def _result_rows(
-    configs: list[dict[str, Any]], workers: int, timeout_s: float | None
+def ordered_rows(
+    point_fn: Callable[..., dict[str, Any]],
+    configs: list[dict[str, Any]],
+    workers: int,
+    timeout_s: float | None,
 ) -> Iterator[dict[str, Any]]:
-    worker = functools.partial(execute_point, timeout_s=timeout_s)
+    """``point_fn(config, timeout_s=...)`` over ``configs``, in-process or
+    across a pool (so a top-level function: pools pickle it by import
+    path).  Rows are yielded in submission order whatever the worker count.
+    """
+    worker = functools.partial(point_fn, timeout_s=timeout_s)
     if workers <= 1 or len(configs) <= 1:
         yield from map(worker, configs)
         return

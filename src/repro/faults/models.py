@@ -27,9 +27,9 @@ Two trigger mechanisms are shared by all models:
   counts eligible events, then each trial picks one uniformly by index.
 
 :class:`TransientFault` is bit-compatible with the historical
-``FaultInjector`` (same constructor, same RNG draw sequence, same
-force-seq semantics), which keeps the golden cells and every committed
-store byte-identical — it *is* ``repro.core.faults.FaultInjector`` now.
+single-model ``FaultInjector`` it replaced (same constructor, same RNG
+draw sequence, same force-seq semantics), which keeps the golden cells
+and every committed store byte-identical.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from repro.core.dynop import DynOp
 from repro.isa.opcodes import FUClass, OpClass, fu_class_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.dynop import DynOp
     from repro.core.params import CheckerParams
 
 #: Registered model names, in documentation order.  ``transient`` is the

@@ -10,11 +10,11 @@ exactness/approximation contract.
 from repro.parallel.merge import merge_core_stats, merge_memory, merge_reservoirs
 from repro.parallel.shards import (
     DEFAULT_SHARD_WARMUP,
-    OffsetWrongPathSource,
     ShardWindow,
     plan_shards,
     run_sharded_experiment,
 )
+from repro.simulate import OffsetWrongPathSource
 
 __all__ = [
     "DEFAULT_SHARD_WARMUP",

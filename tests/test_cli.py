@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main, run_experiment
+from repro.cli import main
+from repro.simulate import run_experiment
 from repro.workloads import preset
 
 #: Pinned top-level layout of one run_experiment result; sweep rows embed
@@ -31,6 +32,7 @@ PARAMS_KEYS = {
 def test_json_report_checked_vs_unchecked(capsys):
     exit_code = main(
         [
+            "run",
             "--preset",
             "int-heavy",
             "--ops",
@@ -55,14 +57,14 @@ def test_json_report_checked_vs_unchecked(capsys):
 
 
 def test_human_report_mentions_key_metrics(capsys):
-    main(["--preset", "branchy", "--ops", "400", "--check"])
+    main(["run", "--preset", "branchy", "--ops", "400", "--check"])
     out = capsys.readouterr().out
     assert "unchecked:" in out and "checked:" in out
     assert "slot-steal" in out and "slowdown:" in out
 
 
 def test_all_presets_runs_every_scenario(capsys):
-    exit_code = main(["--all-presets", "--ops", "200", "--json"])
+    exit_code = main(["run", "--all-presets", "--ops", "200", "--json"])
     assert exit_code == 0
     results = json.loads(capsys.readouterr().out)
     assert sorted(entry["preset"] for entry in results) == [
@@ -75,18 +77,18 @@ def test_all_presets_runs_every_scenario(capsys):
 
 
 def test_real_predictor_mode_runs(capsys):
-    exit_code = main(["--preset", "branchy", "--ops", "400", "--real-predictor"])
+    exit_code = main(["run", "--preset", "branchy", "--ops", "400", "--real-predictor"])
     assert exit_code == 0
     assert "unchecked:" in capsys.readouterr().out
 
 
 def test_unknown_preset_is_an_argparse_error():
     with pytest.raises(SystemExit):
-        main(["--preset", "definitely-not-real"])
+        main(["run", "--preset", "definitely-not-real"])
 
 
 def test_empty_trace_emits_valid_json_with_null_slowdown(capsys):
-    exit_code = main(["--preset", "int-heavy", "--ops", "0", "--check", "--json"])
+    exit_code = main(["run", "--preset", "int-heavy", "--ops", "0", "--check", "--json"])
     assert exit_code == 0
     result = json.loads(capsys.readouterr().out)  # Infinity would not parse
     assert result["slowdown"] is None
@@ -99,25 +101,16 @@ def test_run_experiment_returns_slowdown_only_when_checked():
     assert result["slowdown"] > 0
 
 
-# ------------------------------------------------------- subcommands / legacy
-
-
-def test_explicit_run_subcommand_matches_legacy_invocation(capsys):
-    args = ["--preset", "branchy", "--ops", "400", "--check", "--json"]
-    assert main(["run", *args]) == 0
-    explicit = capsys.readouterr().out
-    assert main(args) == 0  # legacy: no subcommand
-    legacy = capsys.readouterr().out
-    assert json.loads(explicit) == json.loads(legacy)
+# ------------------------------------------------------------- subcommands
 
 
 def test_bare_invocation_still_runs_the_default_preset(capsys):
-    assert main([]) == 0
+    assert main(["run"]) == 0
     assert "preset=int-heavy" in capsys.readouterr().out
 
 
 def test_json_result_schema_is_stable_and_serializable(capsys):
-    main(["--preset", "int-heavy", "--ops", "400", "--check", "--fault-rate",
+    main(["run", "--preset", "int-heavy", "--ops", "400", "--check", "--fault-rate",
           "0.01", "--json"])
     result = json.loads(capsys.readouterr().out)
     # Exact round-trip: no enum keys, dataclasses, or non-finite floats

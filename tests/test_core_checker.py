@@ -179,7 +179,7 @@ def test_recovery_does_not_cancel_an_outstanding_icache_miss_stall():
     core._icache_stall_until = 500  # fetch mid-way through an I-miss
     faulty = DynOp(uop=MicroOp(op=OpClass.IALU, dest=1), seq=0, fetched_at=0)
     core._window.append(faulty)
-    core._recover(faulty, now=10)
+    core._recovery.recover_fault(faulty, now=10)
     assert core._icache_stall_until == 500
     assert core._fetch_stall_until == 10 + core.params.checker.recovery_penalty
 
@@ -191,7 +191,7 @@ def test_cycle_zero_fault_reports_its_full_detection_latency():
 
     from repro.core.checker import Checker
     from repro.core.dynop import DynOp
-    from repro.core.scheduler import FUPool
+    from repro.core.sched import FUPool
     from repro.core.stats import CoreStats
     from repro.isa.opcodes import FU_CLASSES, default_latencies
 

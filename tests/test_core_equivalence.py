@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import run_experiment
+from repro.simulate import run_experiment
 from repro.core.params import CheckerParams, CoreParams
 from repro.workloads import PRESETS
 

@@ -259,7 +259,7 @@ def test_lsq_slots_refunded_on_wrong_path_squash():
 def test_memory_bound_aliasing_workload_exercises_every_memdep_path():
     """ISSUE acceptance: store sets on the memory-bound preset produce
     nonzero violations and forwards, and violations replay to completion."""
-    from repro.cli import run_experiment
+    from repro.simulate import run_experiment
     from repro.workloads import PRESETS
 
     result = run_experiment(
@@ -280,7 +280,7 @@ def test_memory_bound_aliasing_workload_exercises_every_memdep_path():
 
 
 def test_banked_dcache_surfaces_checker_conflicts_in_snapshot():
-    from repro.cli import run_experiment
+    from repro.simulate import run_experiment
     from repro.workloads import PRESETS
 
     result = run_experiment(
@@ -308,7 +308,7 @@ def test_banked_dcache_surfaces_checker_conflicts_in_snapshot():
 
 
 def test_default_config_emits_no_memdep_keys():
-    from repro.cli import run_experiment
+    from repro.simulate import run_experiment
     from repro.workloads import PRESETS
 
     result = run_experiment(PRESETS["int-heavy"], num_ops=500, seed=0, check=True)
@@ -362,7 +362,7 @@ def test_negative_decay_cycles_rejected():
 
 
 def test_ssit_decay_runs_end_to_end_and_counts_in_stats():
-    from repro.cli import run_experiment
+    from repro.simulate import run_experiment
     from repro.workloads import PRESETS
 
     from dataclasses import replace

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scheduler import FUPool
+from repro.core.sched import FUPool
 from repro.isa.opcodes import FUClass
 
 

@@ -3,12 +3,12 @@
 from repro.core import CheckerParams, CoreParams, SuperscalarCore
 from repro.core.checker import Checker
 from repro.core.dynop import DynOp
-from repro.core.scheduler import FUPool
+from repro.core.sched import FUPool
 from repro.core.stats import CoreStats
 from repro.isa import MicroOp, OpClass
 from repro.isa.opcodes import FU_CLASSES, default_latencies
 from repro.workloads import WrongPathGenerator, generate, preset
-from repro.cli import run_experiment
+from repro.simulate import run_experiment
 
 
 def wp_params(**overrides) -> CoreParams:

@@ -90,6 +90,20 @@ def test_spec_loads_from_toml_and_rejects_unknown_keys(tmp_path):
         CampaignSpec.load(bad)
 
 
+@pytest.mark.parametrize(
+    "knob",
+    [{"fault_fu": "BOGUS"}, {"fault_burst": 0}, {"fault_repair_cycles": 0}],
+    ids=["fault_fu", "fault_burst", "fault_repair_cycles"],
+)
+def test_spec_rejects_bad_model_knobs_at_load(knob):
+    """A bad knob fails the spec, not every calibration of the campaign."""
+    (name,) = knob
+    with pytest.raises(ValueError, match=name):
+        CampaignSpec(
+            name="t", presets=["int-heavy"], fault_models=["stuck-fu"], **knob
+        )
+
+
 def test_trial_configs_are_pure_functions_of_the_spec():
     first = SPEC.trial_config("int-heavy", "address", 3, eligible=97)
     second = SPEC.trial_config("int-heavy", "address", 3, eligible=97)

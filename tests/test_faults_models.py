@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.dynop import DynOp
-from repro.core.faults import FaultInjector
 from repro.core.params import CheckerParams
 from repro.faults import (
     FAULT_MODELS,
@@ -36,9 +35,9 @@ def ialu(seq: int = 0, issued_at: int = 0) -> DynOp:
 
 
 def test_transient_is_the_legacy_injector():
-    """The shim keeps old imports working and byte-identical behaviour is
-    trivially guaranteed: they are the same class object."""
-    assert FaultInjector is TransientFault
+    """A checker with no model selected builds the historical single-model
+    injector, so pre-model configs keep their byte-identical behaviour."""
+    assert type(build_fault_model(CheckerParams(enabled=True))) is TransientFault
 
 
 def test_force_index_triggers_exactly_the_kth_eligible_op():

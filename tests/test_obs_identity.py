@@ -9,7 +9,7 @@ never schedules it.
 
 import pytest
 
-from repro.cli import run_experiment
+from repro.simulate import run_experiment
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
 from repro.core.core import SuperscalarCore
 from repro.obs import ObsSession

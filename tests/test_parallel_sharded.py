@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.cli import main, run_experiment
+from repro.cli import main
+from repro.simulate import run_experiment
 from repro.core.core import SuperscalarCore
 from repro.core.params import CoreParams
 from repro.parallel import plan_shards, run_sharded_experiment

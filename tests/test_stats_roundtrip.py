@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.cli import main, run_experiment
+from repro.cli import main
+from repro.simulate import run_experiment
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
 from repro.core.core import SuperscalarCore
 from repro.workloads import PRESET_NAMES, PRESETS, generate
