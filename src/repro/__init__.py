@@ -9,7 +9,7 @@ Subpackages:
 * :mod:`repro.core` — the superscalar core and the shared-resource checker.
 * :mod:`repro.faults` — typed fault models and the outcome taxonomy.
 * :mod:`repro.workloads` — synthetic trace generator and scenario presets.
-* :mod:`repro.simulate` — the one path from run knobs to simulated cores.
+* :mod:`repro.simulate` — the one path from an ``Experiment`` to simulated cores.
 * :mod:`repro.experiments` — sweep grids, fault campaigns, results store
   and paper-style reports.
 * :mod:`repro.parallel` — time-sharded single runs.

@@ -30,16 +30,18 @@ import json
 import os
 import time
 from pathlib import Path
+from dataclasses import replace
 from typing import Any, Callable
 
-from dataclasses import replace
-
 from repro.core.params import CoreParams, MemDepParams, RecoveryParams
-from repro.simulate import build_core, run_experiment
+from repro.simulate import Experiment, build_core, run_experiment
 from repro.workloads import PRESETS, generate
 
-#: Default committed reference (relative to the repository root / CWD).
-DEFAULT_REFERENCE = Path("benchmarks") / "baseline_prerefactor.json"
+#: Default committed reference: the repository's ``benchmarks/`` directory,
+#: found from this module's location so the gate holds from any CWD.
+DEFAULT_REFERENCE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "baseline_prerefactor.json"
+)
 
 #: Default output path for the machine-readable result.
 DEFAULT_OUTPUT = "BENCH_core.json"
@@ -110,6 +112,35 @@ def load_reference(path: str | Path = DEFAULT_REFERENCE) -> dict[str, Any] | Non
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _shape_experiment(
+    shape: dict[str, Any], seed: int, fault_rate: float
+) -> Experiment:
+    """The checked run one bench shape describes.
+
+    Shapes default to the branchy preset, no memdep, one bank, the
+    profile's alias fraction and no checkpointing when the keys are absent.
+    """
+    profile = PRESETS[shape.get("preset", "branchy")]
+    if shape.get("store_alias_fraction"):
+        profile = replace(profile, store_alias_fraction=shape["store_alias_fraction"])
+    return Experiment(
+        profile,
+        ops=shape["ops"],
+        seed=seed,
+        fault_rate=fault_rate,
+        params=CoreParams(
+            window_size=shape["window_size"],
+            wrong_path_depth=shape["wrong_path_depth"],
+            memdep=MemDepParams(enabled=bool(shape.get("memdep", False))),
+            recovery=RecoveryParams(
+                checkpoint_interval=shape.get("checkpoint_interval", 0),
+                checkpoint_overhead=shape.get("checkpoint_overhead", 1),
+            ),
+        ),
+        dcache_banks=shape.get("dcache_banks", 1),
+    )
+
+
 def _best_of(repeats: int, run: Callable[[], Any]) -> tuple[float, Any]:
     """Best wall time over ``repeats`` calls of ``run``, and its last result."""
     best = None
@@ -142,37 +173,20 @@ def _run_sharded_bench(
     """
     from repro.parallel import run_sharded_experiment
 
-    ops = shape["ops"]
     shards = shape["shards"]
     warmup = shape["shard_warmup"]
-    profile = PRESETS[shape.get("preset", "branchy")]
-    params = CoreParams(
-        window_size=shape["window_size"],
-        wrong_path_depth=shape["wrong_path_depth"],
-    )
-    common: dict[str, Any] = dict(
-        num_ops=ops,
-        seed=seed,
-        check=True,
-        wrong_path=True,
-        wrong_path_depth=shape["wrong_path_depth"],
-        params=params,
-    )
-    mono = run_experiment(profile, fault_rate=0.0, **common)
+    exp = _shape_experiment(shape, seed, fault_rate)
+    fault_free = replace(exp, fault_rate=0.0)
+    mono = run_experiment(fault_free)
 
     def timed(n_shards: int, n_warmup: int) -> tuple[float, dict[str, Any]]:
         return _best_of(
-            repeats,
-            lambda: run_sharded_experiment(
-                profile, shards=n_shards, warmup=n_warmup, fault_rate=0.0, **common
-            ),
+            repeats, lambda: run_sharded_experiment(fault_free, n_shards, n_warmup)
         )
 
     wall_1, shards_1 = timed(1, 0)
     wall_n, shards_n = timed(shards, warmup)
-    coverage_run = run_sharded_experiment(
-        profile, shards=shards, warmup=warmup, fault_rate=fault_rate, **common
-    )
+    coverage_run = run_sharded_experiment(exp, shards, warmup)
 
     def ipc_error(mode: str) -> float:
         return abs(shards_n[mode]["ipc"] - mono[mode]["ipc"]) / mono[mode]["ipc"]
@@ -282,38 +296,17 @@ def run_bench(
                 shape, seed, fault_rate, repeats
             )
             continue
-        ops = shape["ops"]
-        profile = PRESETS[shape.get("preset", "branchy")]
-        alias_fraction = shape.get("store_alias_fraction", 0.0)
-        if alias_fraction:
-            profile = replace(profile, store_alias_fraction=alias_fraction)
-        memdep_on = bool(shape.get("memdep", False))
-        banks = shape.get("dcache_banks", 1)
-        ckpt_interval = shape.get("checkpoint_interval", 0)
-        trace = generate(profile, ops, seed=seed)
-        base = CoreParams(
-            window_size=shape["window_size"],
-            wrong_path_depth=shape["wrong_path_depth"],
-            memdep=MemDepParams(enabled=memdep_on),
-            recovery=RecoveryParams(
-                checkpoint_interval=ckpt_interval,
-                checkpoint_overhead=shape.get("checkpoint_overhead", 1),
-            ),
-        )
+        exp = _shape_experiment(shape, seed, fault_rate)
+        ops = exp.ops
+        memdep_on = exp.params.memdep.enabled
+        ckpt_interval = exp.params.recovery.checkpoint_interval
+        trace = generate(exp.profile, ops, seed=seed)
         ref_entry = ref_configs.get(name)
         if ref_entry is not None and ref_entry.get("ops") != ops:
             ref_entry = None  # trace length differs: wall times incomparable
         entry: dict[str, Any] = dict(shape)
         for mode in ("unchecked", "checked"):
-            core = build_core(
-                profile,
-                base,
-                seed=seed,
-                check=mode == "checked",
-                fault_rate=fault_rate,
-                wrong_path_depth=shape["wrong_path_depth"],
-                dcache_banks=banks,
-            )
+            core = build_core(exp, mode == "checked")
             wall, stats = _best_of(repeats, lambda: core.run(trace))
             stats_dict = stats.to_dict()
             mode_report: dict[str, Any] = {

@@ -32,10 +32,9 @@ Five subcommands:
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
-from pathlib import Path
+from dataclasses import replace
 from typing import Sequence
 
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
@@ -45,7 +44,8 @@ from repro.isa.opcodes import FUClass
 from repro.obs import ObsSession
 from repro.obs.telemetry import render_table as render_telemetry_table
 from repro.parallel import DEFAULT_SHARD_WARMUP, run_sharded_experiment
-from repro.simulate import DEFAULT_WRONG_PATH_DEPTH, run_experiment
+from repro.simulate import Experiment, run_experiment
+from repro.util import write_json
 from repro.workloads import PRESET_NAMES, PRESETS
 
 #: Default results-store path shared by ``sweep`` and ``report`` so the
@@ -210,7 +210,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--wrong-path-depth",
         type=int,
-        default=DEFAULT_WRONG_PATH_DEPTH,
+        default=CoreParams().wrong_path_depth,
         help="max micro-ops fetched down one wrong path before waiting for resolution",
     )
     parser.add_argument(
@@ -299,12 +299,12 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parallel_group.add_argument(
         "--shard-warmup",
         type=int,
-        default=None,
+        default=DEFAULT_SHARD_WARMUP,
         metavar="OPS",
         help=(
             "warm-up ops each shard after the first simulates and discards "
-            "before its measured window (default 5000; only meaningful "
-            "with --shards > 1)"
+            "before its measured window (default %(default)s; only "
+            "meaningful with --shards > 1)"
         ),
     )
     parallel_group.add_argument(
@@ -619,43 +619,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if not 0.0 <= args.fault_rate <= 1.0:
-        parser.error(f"--fault-rate must be in [0, 1], got {args.fault_rate}")
-    if args.ops < 0:
-        parser.error(f"--ops must be non-negative, got {args.ops}")
-    if args.wrong_path_depth <= 0:
-        parser.error(f"--wrong-path-depth must be positive, got {args.wrong_path_depth}")
-    if args.frontend_depth < 0:
-        parser.error(f"--frontend-depth must be non-negative, got {args.frontend_depth}")
-    if args.dcache_banks <= 0:
-        parser.error(f"--dcache-banks must be positive, got {args.dcache_banks}")
-    if args.store_alias_fraction is not None and not 0.0 <= args.store_alias_fraction <= 1.0:
-        parser.error(
-            f"--store-alias-fraction must be in [0, 1], got {args.store_alias_fraction}"
-        )
-    if args.ssit_decay_cycles < 0:
-        parser.error(
-            f"--ssit-decay-cycles must be non-negative, got {args.ssit_decay_cycles}"
-        )
+    # Range checks belong to the params classes, WorkloadProfile and
+    # Experiment; only the cross-flag rules are the CLI's own.
     if args.ssit_decay_cycles and not args.memdep:
         parser.error("--ssit-decay-cycles requires --memdep")
-    if args.checkpoint_interval < 0:
-        parser.error(
-            f"--checkpoint-interval must be non-negative, got {args.checkpoint_interval}"
-        )
-    if args.checkpoint_overhead < 0:
-        parser.error(
-            f"--checkpoint-overhead must be non-negative, got {args.checkpoint_overhead}"
-        )
-    if args.telemetry_interval < 0:
-        parser.error(
-            f"--telemetry-interval must be non-negative, got {args.telemetry_interval}"
-        )
     if args.telemetry_out and not args.telemetry_interval:
         parser.error("--telemetry-out requires --telemetry-interval")
     if args.shards < 1:
         parser.error(f"--shards must be at least 1, got {args.shards}")
-    if args.shard_warmup is not None and args.shard_warmup < 0:
+    if args.shard_warmup < 0:
         parser.error(f"--shard-warmup must be non-negative, got {args.shard_warmup}")
     if args.shard_workers is not None and args.shard_workers < 1:
         parser.error(f"--shard-workers must be at least 1, got {args.shard_workers}")
@@ -680,31 +652,51 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "observability outputs trace one experiment; drop --all-presets "
             "or run presets individually"
         )
-    # The model knobs ride the base checker params (whose own validation
-    # rejects bad ones); run_experiment layers enabled/fault_rate/fault_seed
-    # on top, so the model selection survives into the checked core.
+    names = list(PRESET_NAMES) if args.all_presets else [args.preset]
+    profiles = [PRESETS[name] for name in names]
     try:
-        checker = CheckerParams(
-            fault_model=args.fault_model,
-            fault_burst=args.fault_burst,
-            fault_fu=args.fault_fu,
-            fault_repair_cycles=args.fault_repair_cycles,
+        if args.store_alias_fraction is not None:
+            profiles = [
+                replace(profile, store_alias_fraction=args.store_alias_fraction)
+                for profile in profiles
+            ]
+        params = CoreParams(
+            frontend_depth=args.frontend_depth,
+            model_wrong_path=not args.no_wrong_path,
+            wrong_path_depth=args.wrong_path_depth,
+            use_real_predictor=args.real_predictor,
+            # The model knobs ride the base checker params; the run layers
+            # enabled/fault_rate/fault_seed on top, so the model selection
+            # survives into the checked core.
+            checker=CheckerParams(
+                fault_model=args.fault_model,
+                fault_burst=args.fault_burst,
+                fault_fu=args.fault_fu,
+                fault_repair_cycles=args.fault_repair_cycles,
+            ),
+            memdep=MemDepParams(
+                enabled=args.memdep, ssit_decay_cycles=args.ssit_decay_cycles
+            ),
+            recovery=RecoveryParams(
+                checkpoint_interval=args.checkpoint_interval,
+                checkpoint_overhead=args.checkpoint_overhead,
+            ),
+            telemetry_interval=args.telemetry_interval,
         )
+        experiments = [
+            Experiment(
+                profile,
+                ops=args.ops,
+                seed=args.seed,
+                check=args.check,
+                fault_rate=args.fault_rate,
+                params=params,
+                dcache_banks=args.dcache_banks,
+            )
+            for profile in profiles
+        ]
     except ValueError as exc:
-        parser.error(f"bad fault model option: {exc}")
-    base_kwargs: dict = {"checker": checker}
-    if args.frontend_depth:
-        base_kwargs["frontend_depth"] = args.frontend_depth
-    if args.memdep:
-        base_kwargs["memdep"] = MemDepParams(
-            enabled=True, ssit_decay_cycles=args.ssit_decay_cycles
-        )
-    if args.checkpoint_interval:
-        base_kwargs["recovery"] = RecoveryParams(
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_overhead=args.checkpoint_overhead,
-        )
-    base_params = CoreParams(**base_kwargs)
+        parser.error(str(exc))
     obs = (
         ObsSession(
             trace_out=args.trace_out,
@@ -717,34 +709,15 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if obs_requested
         else None
     )
-    names = list(PRESET_NAMES) if args.all_presets else [args.preset]
-    run = run_experiment
     if args.shards > 1:
-        run = functools.partial(
-            run_sharded_experiment,
-            shards=args.shards,
-            warmup=(
-                args.shard_warmup if args.shard_warmup is not None else DEFAULT_SHARD_WARMUP
-            ),
-            workers=args.shard_workers,
-        )
-    results = [
-        run(
-            PRESETS[name],
-            num_ops=args.ops,
-            seed=args.seed,
-            check=args.check,
-            fault_rate=args.fault_rate,
-            real_predictor=args.real_predictor,
-            wrong_path=not args.no_wrong_path,
-            wrong_path_depth=args.wrong_path_depth,
-            params=base_params,
-            dcache_banks=args.dcache_banks,
-            store_alias_fraction=args.store_alias_fraction,
-            obs=obs,
-        )
-        for name in names
-    ]
+        results = [
+            run_sharded_experiment(
+                exp, args.shards, args.shard_warmup, args.shard_workers, obs=obs
+            )
+            for exp in experiments
+        ]
+    else:
+        results = [run_experiment(exp, obs) for exp in experiments]
     payload = results if args.all_presets else results[0]
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -755,12 +728,7 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 print()
                 print(render_telemetry_table(telemetry.samples, label))
     if args.json_out:
-        out = Path(args.json_out)
-        if out.parent != Path("."):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {write_json(payload, args.json_out)}", file=sys.stderr)
     if obs is not None:
         written = obs.finish(
             metadata={
@@ -847,7 +815,6 @@ def _cmd_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         aggregate_campaign,
         render_campaign_text,
         run_campaign,
-        write_campaign_json,
     )
 
     if args.workers <= 0:
@@ -877,7 +844,7 @@ def _cmd_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         timeout_s=args.timeout,
     )
     report = aggregate_campaign(spec, store)
-    out = write_campaign_json(report, args.bench_json or DEFAULT_CAMPAIGN_JSON)
+    out = write_json(report, args.bench_json or DEFAULT_CAMPAIGN_JSON)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -894,8 +861,7 @@ def _cmd_campaign(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.experiments import aggregate, render_text, write_bench_json
-    from repro.experiments import write_csv_tables
+    from repro.experiments import aggregate, render_text, write_csv_tables
 
     store = ResultsStore(args.store)
     rows = store.ok_rows()
@@ -906,7 +872,7 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         )
         return 1
     aggregated = aggregate(rows, source=str(store.path))
-    write_bench_json(aggregated, args.bench_json)
+    write_json(aggregated, args.bench_json)
     if args.csv_dir:
         write_csv_tables(aggregated, args.csv_dir)
     if args.metrics_out:

@@ -14,10 +14,10 @@ single run.  This package turns the simulator into an experiment platform:
 * :class:`ResultsStore` (:mod:`repro.experiments.store`) — an append-only
   JSONL store keyed by a config hash; re-running a sweep skips points that
   already completed, so interrupted sweeps resume for free.
-* :func:`aggregate` / :func:`render_text` / :func:`write_csv_tables` /
-  :func:`write_bench_json` (:mod:`repro.experiments.report`) — group rows
-  by configuration, reduce across seeds to mean ± stddev, and emit the
-  paper-style tables as text, CSV, and ``BENCH_sweep.json``.
+* :func:`aggregate` / :func:`render_text` / :func:`write_csv_tables`
+  (:mod:`repro.experiments.report`) — group rows by configuration, reduce
+  across seeds to mean ± stddev, and emit the paper-style tables as text,
+  CSV, and ``BENCH_sweep.json``.
 """
 
 from repro.experiments.campaign import (
@@ -28,13 +28,11 @@ from repro.experiments.campaign import (
     render_campaign_text,
     run_campaign,
     wilson_interval,
-    write_campaign_json,
 )
 from repro.experiments.report import (
     aggregate,
     register_metrics,
     render_text,
-    write_bench_json,
     write_csv_tables,
 )
 from repro.experiments.runner import SweepSummary, execute_point, run_sweep
@@ -60,7 +58,5 @@ __all__ = [
     "run_campaign",
     "run_sweep",
     "wilson_interval",
-    "write_bench_json",
-    "write_campaign_json",
     "write_csv_tables",
 ]

@@ -28,12 +28,10 @@ binomial proportions at small n) and writes them to
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-import tomllib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -44,7 +42,7 @@ from repro.experiments.runner import (
     point_row,
     strip_transport,
 )
-from repro.experiments.spec import SCHEMA_VERSION, config_hash
+from repro.experiments.spec import SCHEMA_VERSION, config_hash, load_spec, spec_from_dict
 from repro.experiments.store import ResultsStore
 
 #: z for the 95% Wilson score interval.
@@ -179,29 +177,11 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        if "campaign" in data and isinstance(data["campaign"], Mapping):
-            data = data["campaign"]
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown campaign keys: {sorted(unknown)}")
-        return cls(**dict(data))
+        return spec_from_dict(cls, data, "campaign")
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignSpec":
-        path = Path(path)
-        if path.suffix.lower() == ".toml":
-            with path.open("rb") as fh:
-                document = tomllib.load(fh)
-        elif path.suffix.lower() == ".json":
-            document = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            raise ValueError(
-                f"unsupported spec format {path.suffix!r} (use .toml or .json)"
-            )
-        if not isinstance(document, Mapping):
-            raise ValueError("campaign spec must be a table/object at top level")
-        return cls.from_dict(document)
+        return load_spec(cls, path, "campaign")
 
 
 def execute_campaign_point(
@@ -232,20 +212,19 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
     import repro.workloads as workloads
     from repro.core.params import CheckerParams, CoreParams
     from repro.faults.outcomes import zero_outcomes
-    from repro.simulate import build_core
+    from repro.simulate import Experiment, build_core
 
-    profile = workloads.preset(config["preset"])
-    seed = config["seed"]
-    trace = workloads.generate(profile, config["ops"], seed=seed)
     checker = CheckerParams(**{key: config[key] for key in _CHECKER_KEYS if key in config})
-    core = build_core(
-        profile,
-        CoreParams(checker=checker),
-        seed=seed,
-        check=True,
+    exp = Experiment(
+        workloads.preset(config["preset"]),
+        ops=config["ops"],
+        seed=config["seed"],
         fault_rate=0.0,
         fault_seed=config.get("fault_seed"),
+        params=CoreParams(checker=checker),
     )
+    trace = workloads.generate(exp.profile, exp.ops, seed=exp.seed)
+    core = build_core(exp, checked=True)
     stats = core.run(trace)
     if stats.fault_model_enabled:
         outcomes = dict(stats.fault_outcomes)
@@ -449,15 +428,6 @@ def aggregate_campaign(spec: CampaignSpec, store: ResultsStore) -> dict[str, Any
         "wilson_z": WILSON_Z,
         "cells": cells,
     }
-
-
-def write_campaign_json(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
 
 
 def render_campaign_text(report: dict[str, Any]) -> str:

@@ -15,14 +15,14 @@ evaluation:
 
 The same payload renders as fixed-width text (``render_text``), one CSV
 per table (``write_csv_tables``), and the machine-readable
-``BENCH_sweep.json`` (``write_bench_json``).  Nothing here timestamps the
-output: reports are a pure function of the store, byte-for-byte.
+``BENCH_sweep.json`` (:func:`repro.util.write_json`).  Nothing here
+timestamps the output: reports are a pure function of the store,
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
@@ -343,14 +343,3 @@ def write_csv_tables(aggregated: Mapping[str, Any], directory: str | Path) -> li
                 writer.writerows(table)
         written.append(path)
     return written
-
-
-def write_bench_json(aggregated: Mapping[str, Any], path: str | Path) -> Path:
-    """The full aggregate payload, stable-sorted, as ``BENCH_sweep.json``."""
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(aggregated, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path

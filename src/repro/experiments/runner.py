@@ -2,7 +2,9 @@
 
 ``run_sweep`` expands a :class:`~repro.experiments.spec.SweepSpec`, drops
 every point whose config hash is already in the store (resume/caching),
-and fans the rest out over a :mod:`multiprocessing` pool.  Campaigns
+and fans the rest out over a :mod:`multiprocessing` pool; each point is
+rebuilt from its stored config into one :class:`~repro.simulate.Experiment`
+and run by :func:`~repro.simulate.run_experiment`.  Campaigns
 (:mod:`repro.experiments.campaign`) run their calibrations and trials
 through the same three pieces: :func:`point_row` (one crash- and
 timeout-guarded row), :func:`ordered_rows` (the ordered fan-out) and
@@ -36,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.experiments.spec import RunPoint, SCHEMA_VERSION, config_hash
 from repro.experiments.store import ResultsStore
+from repro.simulate import run_experiment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
@@ -173,26 +176,8 @@ def execute_point(
 
 
 def _simulate_point(config: dict[str, Any]) -> dict[str, Any]:
-    from repro.simulate import run_experiment
-    from repro.workloads import preset
-
     point = RunPoint.from_config(config)
-    return {
-        "group_hash": point.group_hash(),
-        "result": run_experiment(
-            preset(point.preset),
-            num_ops=point.ops,
-            seed=point.seed,
-            check=True,
-            fault_rate=point.fault_rate,
-            real_predictor=point.real_predictor,
-            wrong_path=point.wrong_path,
-            wrong_path_depth=point.wrong_path_depth,
-            params=point.core_params(),
-            dcache_banks=point.dcache_banks,
-            store_alias_fraction=point.store_alias_fraction or None,
-        ),
-    }
+    return {"group_hash": point.group_hash(), "result": run_experiment(point.experiment())}
 
 
 def pending_configs(

@@ -3,9 +3,11 @@
 A :class:`SweepSpec` names the axes the paper's evaluation varies —
 workload preset, seed, fault rate, issue width, functional-unit
 complement, checker slot policy, wrong-path knobs — and expands to the
-cartesian product of concrete :class:`RunPoint`\\ s.  Specs load from TOML
-(Python 3.11's ``tomllib``) or JSON; both accept either a top-level
-``[sweep]`` table or a flat document.
+cartesian product of concrete :class:`RunPoint`\\ s; each point turns into
+one :class:`~repro.simulate.Experiment` (:meth:`RunPoint.experiment`).
+Specs load from TOML (Python 3.11's ``tomllib``) or JSON; both accept
+either a top-level ``[sweep]`` table or a flat document
+(:func:`load_spec`, shared with campaign specs).
 
 Every point serializes to a canonical JSON config whose SHA-256 prefix is
 the point's identity in the results store: the same spec always hashes to
@@ -18,13 +20,14 @@ import hashlib
 import itertools
 import json
 import tomllib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.params import CoreParams, SLOT_POLICIES
+from repro.core.params import CoreParams
 from repro.isa.opcodes import FUClass
-from repro.workloads import PRESET_NAMES
+from repro.simulate import Experiment
+from repro.workloads import PRESET_NAMES, preset
 
 #: Version stamp written into every config and results row; bump on any
 #: incompatible change to the config or row layout.
@@ -139,15 +142,16 @@ class RunPoint:
             return "table1"
         return "-".join(f"{name.lower()}{count}" for name, count in self.fu_counts)
 
-    def core_params(self) -> CoreParams:
-        """Build the machine shape this point simulates.
-
-        Run-level knobs (predictor mode, wrong-path modelling, checker
-        enable/fault seed) are layered on by ``run_experiment``; this
-        carries only what the grid varies.
+    def experiment(self) -> Experiment:
+        """The run this point simulates (always checked: sweeps measure
+        the checked-vs-unchecked slowdown).  Building it validates every
+        knob through the params classes, the profile and ``Experiment``.
         """
         data: dict[str, Any] = {
             "issue_width": self.issue_width,
+            "model_wrong_path": self.wrong_path,
+            "wrong_path_depth": self.wrong_path_depth,
+            "use_real_predictor": self.real_predictor,
             "checker": {
                 "slot_policy": self.slot_policy,
                 "reserved_slots": self.reserved_slots,
@@ -164,7 +168,18 @@ class RunPoint:
                 "checkpoint_interval": self.checkpoint_interval,
                 "checkpoint_overhead": self.checkpoint_overhead,
             }
-        return CoreParams.from_dict(data)
+        profile = preset(self.preset)
+        if self.store_alias_fraction:
+            profile = replace(profile, store_alias_fraction=self.store_alias_fraction)
+        return Experiment(
+            profile,
+            ops=self.ops,
+            seed=self.seed,
+            check=True,
+            fault_rate=self.fault_rate,
+            params=CoreParams.from_dict(data),
+            dcache_banks=self.dcache_banks,
+        )
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "RunPoint":
@@ -223,43 +238,7 @@ def _validate_point(point: RunPoint) -> None:
         raise ValueError(
             f"unknown preset {point.preset!r}; choose from {list(PRESET_NAMES)}"
         )
-    if point.ops < 0:
-        raise ValueError(f"ops must be non-negative, got {point.ops}")
-    if not 0.0 <= point.fault_rate <= 1.0:
-        raise ValueError(f"fault_rate must be in [0, 1], got {point.fault_rate}")
-    if point.slot_policy not in SLOT_POLICIES:
-        raise ValueError(
-            f"slot_policy must be one of {SLOT_POLICIES}, got {point.slot_policy!r}"
-        )
-    if point.issue_width <= 0 or point.wrong_path_depth <= 0:
-        raise ValueError("issue_width and wrong_path_depth must be positive")
-    if point.slot_policy == "reserved" and not 0 < point.reserved_slots < point.issue_width:
-        raise ValueError(
-            f"reserved_slots must be in (0, issue_width), got {point.reserved_slots} "
-            f"with issue_width {point.issue_width}"
-        )
-    if point.dcache_banks <= 0:
-        raise ValueError(f"dcache_banks must be positive, got {point.dcache_banks}")
-    if point.checkpoint_interval < 0:
-        raise ValueError(
-            f"checkpoint_interval must be non-negative, got {point.checkpoint_interval}"
-        )
-    if point.checkpoint_interval and point.checkpoint_overhead < 0:
-        raise ValueError(
-            f"checkpoint_overhead must be non-negative, got {point.checkpoint_overhead}"
-        )
-    if not 0.0 <= point.store_alias_fraction <= 1.0:
-        raise ValueError(
-            f"store_alias_fraction must be in [0, 1], got {point.store_alias_fraction}"
-        )
-    # Deferred import: repro.faults.models is pulled in lazily the same way
-    # CheckerParams validates, avoiding an import cycle at module load.
-    from repro.faults.models import FAULT_MODELS
-
-    if point.fault_model not in FAULT_MODELS:
-        raise ValueError(
-            f"fault_model must be one of {FAULT_MODELS}, got {point.fault_model!r}"
-        )
+    point.experiment()
 
 
 def _default_fault_rates() -> list[float]:
@@ -377,21 +356,9 @@ class SweepSpec:
                 raise ValueError(f"axis {axis!r} must list at least one value")
             if len(set(map(repr, values))) != len(values):
                 raise ValueError(f"axis {axis!r} contains duplicate values")
-        # Point-level constraints are validated per point in points(), but
-        # axis-level mistakes should fail at load time with a clear name.
-        for preset_name in self.presets:
-            if preset_name not in PRESET_NAMES:
-                raise ValueError(
-                    f"unknown preset {preset_name!r}; choose from {list(PRESET_NAMES)}"
-                )
-        for policy in self.slot_policies:
-            if policy not in SLOT_POLICIES:
-                raise ValueError(
-                    f"slot_policy must be one of {SLOT_POLICIES}, got {policy!r}"
-                )
-        # Expand the grid once now so every point-level constraint (bad FU
-        # variant, reserved_slots vs issue_width, …) surfaces at load time
-        # as a clean ValueError, not mid-sweep.
+        # Expand the grid once now so every point-level constraint (unknown
+        # preset, bad FU variant, reserved_slots vs issue_width, …) surfaces
+        # at load time as a clean ValueError, not mid-sweep.
         self.points()
 
     def points(self) -> list[RunPoint]:
@@ -455,25 +422,37 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
         """Build a spec from a parsed document; rejects unknown keys."""
-        if "sweep" in data and isinstance(data["sweep"], Mapping):
-            data = data["sweep"]
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
-        return cls(**dict(data))
+        return spec_from_dict(cls, data, "sweep")
 
     @classmethod
     def load(cls, path: str | Path) -> "SweepSpec":
         """Load a ``.toml`` or ``.json`` spec file."""
-        path = Path(path)
-        if path.suffix.lower() == ".toml":
-            with path.open("rb") as fh:
-                document = tomllib.load(fh)
-        elif path.suffix.lower() == ".json":
-            document = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            raise ValueError(f"unsupported spec format {path.suffix!r} (use .toml or .json)")
-        if not isinstance(document, Mapping):
-            raise ValueError("sweep spec must be a table/object at top level")
-        return cls.from_dict(document)
+        return load_spec(cls, path, "sweep")
+
+
+def spec_from_dict(cls, data: Mapping[str, Any], table: str):
+    """``cls(**data)``, unwrapping a top-level ``[table]`` and rejecting
+    keys that are not fields of ``cls``."""
+    if table in data and isinstance(data[table], Mapping):
+        data = data[table]
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {table} keys: {sorted(unknown)}")
+    return cls(**dict(data))
+
+
+def load_spec(cls, path: str | Path, table: str):
+    """Load a ``.toml`` or ``.json`` spec file into ``cls`` (see
+    :func:`spec_from_dict`)."""
+    path = Path(path)
+    suffix = path.suffix.lower()
+    if suffix == ".toml":
+        with path.open("rb") as fh:
+            document = tomllib.load(fh)
+    elif suffix == ".json":
+        document = json.loads(path.read_text(encoding="utf-8"))
+    else:
+        raise ValueError(f"unsupported spec format {path.suffix!r} (use .toml or .json)")
+    if not isinstance(document, Mapping):
+        raise ValueError(f"{table} spec must be a table/object at top level")
+    return spec_from_dict(cls, document, table)

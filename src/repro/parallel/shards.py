@@ -1,9 +1,10 @@
 """Time-sharded parallel simulation of a single trace.
 
-``run_sharded_experiment`` splits one run's op budget into N contiguous
-windows, simulates each window in its own worker process, and merges the
-per-shard :class:`~repro.core.stats.CoreStats` into one result dict with
-the same shape :func:`repro.simulate.run_experiment` produces.
+``run_sharded_experiment`` splits one :class:`~repro.simulate.Experiment`'s
+op budget into N contiguous windows, simulates each window in its own
+worker process, and merges the per-shard
+:class:`~repro.core.stats.CoreStats` into one result dict with the same
+shape :func:`repro.simulate.run_experiment` produces.
 
 Each worker reconstructs its slice of the monolithic run exactly:
 
@@ -33,18 +34,11 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.core.params import CoreParams
 from repro.core.stats import CoreStats
 from repro.experiments.runner import PointTimeout, _wall_clock_limit
 from repro.obs import ObsSession, PipelineTracer
 from repro.parallel.merge import merge_core_stats
-from repro.simulate import (
-    DEFAULT_WRONG_PATH_DEPTH,
-    build_core,
-    experiment_result,
-    run_params,
-)
-from repro.workloads import WorkloadProfile
+from repro.simulate import Experiment, build_core, experiment_result, run_params
 from repro.workloads.synthetic import TraceGenerator
 
 #: Default warm-start prefix (ops) for shards with index >= 1.  Sized on
@@ -106,12 +100,8 @@ class _ShardTask:
     """Everything one worker needs to simulate one shard (picklable)."""
 
     window: ShardWindow
-    profile: WorkloadProfile
-    #: :func:`~repro.simulate.run_params` knobs shared by every shard (the
-    #: base params, seed, fault rate, predictor and wrong-path knobs).
-    knobs: dict
-    check: bool
-    dcache_banks: int
+    #: The run, with this shard's fault seed.
+    experiment: Experiment
     collect_trace: bool
     #: ``--trace-ops`` window in *monolithic* seq coordinates (or None);
     #: the worker translates it into shard-local seqs before tracing.
@@ -143,12 +133,12 @@ def _execute_shard(task: _ShardTask) -> _ShardResult:
     instead of a half-merged result.
     """
     window = task.window
+    exp = task.experiment
     result = _ShardResult(index=window.index)
     started = time.perf_counter()
     try:
         with _wall_clock_limit(task.timeout_s):
-            seed = task.knobs["seed"]
-            generator = TraceGenerator(task.profile, seed=seed)
+            generator = TraceGenerator(exp.profile, seed=exp.seed)
             generator.fast_forward(window.fetch_start)
             trace = [
                 generator.next_op() for _ in range(window.warmup + window.length)
@@ -160,28 +150,17 @@ def _execute_shard(task: _ShardTask) -> _ShardResult:
             if task.trace_ops is not None:
                 lo, hi = task.trace_ops
                 local_trace_ops = (lo - window.fetch_start, hi - window.fetch_start)
-            for mode in ("unchecked", "checked") if task.check else ("unchecked",):
+            for mode in ("unchecked", "checked") if exp.check else ("unchecked",):
                 tracer = (
                     PipelineTracer(mode, seq_range=local_trace_ops)
                     if task.collect_trace
                     else None
                 )
                 core = build_core(
-                    task.profile,
-                    check=mode == "checked",
-                    # Shard 0 keeps the monolithic fault seed: it replays the
-                    # trace from op 0, so the injector's draw stream lines up
-                    # exactly and the --shards 1 path stays bit-identical.
-                    # Later shards get a decorrelated per-shard stream —
-                    # replaying the monolithic *prefix* stream in every shard
-                    # would both correlate their fault placements and make
-                    # late-stream faults unreachable, biasing the merged
-                    # fault count low.
-                    fault_seed=seed + 1 + 0xF5EED * window.index,
-                    dcache_banks=task.dcache_banks,
+                    exp,
+                    mode == "checked",
                     wrong_path_offset=window.fetch_start,
                     tracer=tracer,
-                    **task.knobs,
                 )
                 stats = core.run_window(trace, warmup_ops=window.warmup)
                 setattr(result, mode, stats)
@@ -276,24 +255,14 @@ def _offset_row(row: dict, offset: int) -> dict:
 
 
 def run_sharded_experiment(
-    profile: WorkloadProfile,
-    num_ops: int = 20_000,
-    seed: int = 0,
+    exp: Experiment,
     shards: int = 1,
     warmup: int = DEFAULT_SHARD_WARMUP,
-    check: bool = True,
-    fault_rate: float = 1e-4,
-    real_predictor: bool = False,
-    wrong_path: bool = True,
-    wrong_path_depth: int = DEFAULT_WRONG_PATH_DEPTH,
-    params: CoreParams | None = None,
-    dcache_banks: int = 1,
-    store_alias_fraction: float | None = None,
     workers: int | None = None,
     timeout_s: float | None = None,
     obs: ObsSession | None = None,
 ) -> dict:
-    """Run one experiment point time-sharded across processes.
+    """Run ``exp`` time-sharded across processes.
 
     The returned dict has exactly :func:`repro.simulate.run_experiment`'s shape
     (preset/ops/seed/wrong_path/params/unchecked[/checked/slowdown/
@@ -302,25 +271,21 @@ def run_sharded_experiment(
     ``shards == 1`` everything runs in-process with zero warmup and the
     result is bit-identical to the monolithic path.
     """
-    if store_alias_fraction is not None:
-        profile = replace(profile, store_alias_fraction=store_alias_fraction)
-    windows = plan_shards(num_ops, shards, warmup if shards > 1 else 0)
+    windows = plan_shards(exp.ops, shards, warmup if shards > 1 else 0)
     collect_trace = obs is not None and obs.wants_tracing
-    knobs = dict(
-        base=params,
-        seed=seed,
-        fault_rate=fault_rate,
-        real_predictor=real_predictor,
-        wrong_path=wrong_path,
-        wrong_path_depth=wrong_path_depth,
-    )
     tasks = [
         _ShardTask(
             window=window,
-            profile=profile,
-            knobs=knobs,
-            check=check,
-            dcache_banks=dcache_banks,
+            # Shard 0 keeps the monolithic fault seed: it replays the trace
+            # from op 0, so the injector's draw stream lines up exactly and
+            # the --shards 1 path stays bit-identical.  Later shards get a
+            # decorrelated per-shard stream — replaying the monolithic
+            # *prefix* stream in every shard would both correlate their
+            # fault placements and make late-stream faults unreachable,
+            # biasing the merged fault count low.
+            experiment=replace(
+                exp, fault_seed=exp.checker_seed + 0xF5EED * window.index
+            ),
             collect_trace=collect_trace,
             trace_ops=obs.trace_ops if obs is not None else None,
             timeout_s=timeout_s,
@@ -357,18 +322,12 @@ def run_sharded_experiment(
         raise RuntimeError(f"{len(failed)} shard(s) failed — {details}")
     unchecked = merge_core_stats([result.unchecked for result in shard_results])
     checked = (
-        merge_core_stats([result.checked for result in shard_results]) if check else None
+        merge_core_stats([result.checked for result in shard_results])
+        if exp.check
+        else None
     )
     # The reported params are shard 0's, i.e. the monolithic run's.
-    result = experiment_result(
-        profile,
-        num_ops,
-        seed,
-        wrong_path,
-        run_params(check=check, **knobs),
-        unchecked,
-        checked,
-    )
+    result = experiment_result(exp, run_params(exp, exp.check), unchecked, checked)
     if shards > 1:
         result["sharding"] = {
             "shards": shards,
@@ -390,7 +349,7 @@ def run_sharded_experiment(
         }
     if obs is not None:
         if collect_trace:
-            _host_shard_tracers(shard_results, obs, check)
+            _host_shard_tracers(shard_results, obs, exp.check)
         unchecked.register_metrics(obs.registry, "unchecked.")
         if checked is not None:
             checked.register_metrics(obs.registry, "checked.")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.simulate import run_experiment
+from repro.simulate import Experiment, run_experiment
 from repro.workloads import preset
 
 #: Pinned top-level layout of one run_experiment result; sweep rows embed
@@ -95,9 +95,11 @@ def test_empty_trace_emits_valid_json_with_null_slowdown(capsys):
 
 
 def test_run_experiment_returns_slowdown_only_when_checked():
-    result = run_experiment(preset("int-heavy"), num_ops=300, check=False)
+    result = run_experiment(Experiment(preset("int-heavy"), ops=300, check=False))
     assert "checked" not in result and "slowdown" not in result
-    result = run_experiment(preset("int-heavy"), num_ops=300, check=True, fault_rate=0.0)
+    result = run_experiment(
+        Experiment(preset("int-heavy"), ops=300, check=True, fault_rate=0.0)
+    )
     assert result["slowdown"] > 0
 
 
@@ -122,7 +124,9 @@ def test_json_result_schema_is_stable_and_serializable(capsys):
     assert result["params"]["checker"]["enabled"] is True
     assert result["params"]["checker"]["fault_rate"] == 0.01
     assert isinstance(result["checked"]["detection_latencies"], list)
-    unchecked_only = run_experiment(preset("int-heavy"), num_ops=200, check=False)
+    unchecked_only = run_experiment(
+        Experiment(preset("int-heavy"), ops=200, check=False)
+    )
     assert set(unchecked_only) == RESULT_KEYS
 
 
@@ -130,14 +134,16 @@ def test_run_experiment_params_override_machine_shape():
     from repro.core.params import CheckerParams, CoreParams
 
     result = run_experiment(
-        preset("int-heavy"),
-        num_ops=300,
-        check=True,
-        fault_rate=0.01,
-        params=CoreParams(
-            issue_width=4,
-            checker=CheckerParams(slot_policy="reserved", reserved_slots=1),
-        ),
+        Experiment(
+            preset("int-heavy"),
+            ops=300,
+            check=True,
+            fault_rate=0.01,
+            params=CoreParams(
+                issue_width=4,
+                checker=CheckerParams(slot_policy="reserved", reserved_slots=1),
+            ),
+        )
     )
     assert result["params"]["issue_width"] == 4
     assert result["params"]["checker"]["slot_policy"] == "reserved"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.simulate import run_experiment
+from repro.simulate import Experiment, run_experiment
 from repro.core.params import CheckerParams, CoreParams
 from repro.workloads import PRESETS
 
@@ -35,12 +35,14 @@ def test_kernel_core_matches_pinned_prerefactor_stats(row):
         checker=CheckerParams(slot_policy=row["slot_policy"], reserved_slots=2)
     )
     result = run_experiment(
-        PRESETS[row["preset"]],
-        num_ops=3000,
-        seed=row["seed"],
-        check=True,
-        fault_rate=1e-3,
-        params=params,
+        Experiment(
+            PRESETS[row["preset"]],
+            ops=3000,
+            seed=row["seed"],
+            check=True,
+            fault_rate=1e-3,
+            params=params,
+        )
     )
     assert result["unchecked"] == row["unchecked"]
     assert result["checked"] == row["checked"]

@@ -259,17 +259,20 @@ def test_lsq_slots_refunded_on_wrong_path_squash():
 def test_memory_bound_aliasing_workload_exercises_every_memdep_path():
     """ISSUE acceptance: store sets on the memory-bound preset produce
     nonzero violations and forwards, and violations replay to completion."""
-    from repro.simulate import run_experiment
+    from dataclasses import replace
+
+    from repro.simulate import Experiment, run_experiment
     from repro.workloads import PRESETS
 
     result = run_experiment(
-        PRESETS["memory-bound"],
-        num_ops=20_000,
-        seed=3,
-        check=True,
-        fault_rate=1e-4,
-        params=CoreParams(memdep=MemDepParams(enabled=True)),
-        store_alias_fraction=0.3,
+        Experiment(
+            replace(PRESETS["memory-bound"], store_alias_fraction=0.3),
+            ops=20_000,
+            seed=3,
+            check=True,
+            fault_rate=1e-4,
+            params=CoreParams(memdep=MemDepParams(enabled=True)),
+        )
     )
     for mode in ("unchecked", "checked"):
         stats = result[mode]
@@ -280,16 +283,18 @@ def test_memory_bound_aliasing_workload_exercises_every_memdep_path():
 
 
 def test_banked_dcache_surfaces_checker_conflicts_in_snapshot():
-    from repro.simulate import run_experiment
+    from repro.simulate import Experiment, run_experiment
     from repro.workloads import PRESETS
 
     result = run_experiment(
-        PRESETS["memory-bound"],
-        num_ops=5_000,
-        seed=1,
-        check=True,
-        fault_rate=1e-4,
-        dcache_banks=4,
+        Experiment(
+            PRESETS["memory-bound"],
+            ops=5_000,
+            seed=1,
+            check=True,
+            fault_rate=1e-4,
+            dcache_banks=4,
+        )
     )
     checked = result["checked"]
     assert checked["mem_dcache_banks"] == 4
@@ -302,16 +307,24 @@ def test_banked_dcache_surfaces_checker_conflicts_in_snapshot():
     assert len(checked["mem_bank_conflicts_per_bank"]) == 4
     # The unbanked baseline result keys are unchanged.
     unbanked = run_experiment(
-        PRESETS["memory-bound"], num_ops=1_000, seed=1, check=False, fault_rate=0.0
+        Experiment(
+            PRESETS["memory-bound"],
+            ops=1_000,
+            seed=1,
+            check=False,
+            fault_rate=0.0,
+        )
     )
     assert "mem_dcache_banks" not in unbanked["unchecked"]
 
 
 def test_default_config_emits_no_memdep_keys():
-    from repro.simulate import run_experiment
+    from repro.simulate import Experiment, run_experiment
     from repro.workloads import PRESETS
 
-    result = run_experiment(PRESETS["int-heavy"], num_ops=500, seed=0, check=True)
+    result = run_experiment(
+        Experiment(PRESETS["int-heavy"], ops=500, seed=0, check=True)
+    )
     for mode in ("unchecked", "checked"):
         assert "mem_order_violations" not in result[mode]
         assert "loads_forwarded" not in result[mode]
@@ -362,21 +375,28 @@ def test_negative_decay_cycles_rejected():
 
 
 def test_ssit_decay_runs_end_to_end_and_counts_in_stats():
-    from repro.simulate import run_experiment
+    from repro.simulate import Experiment, run_experiment
     from repro.workloads import PRESETS
 
     from dataclasses import replace
 
     profile = replace(PRESETS["memory-bound"], store_alias_fraction=0.5)
     base = CoreParams(memdep=MemDepParams(enabled=True, ssit_decay_cycles=200))
-    result = run_experiment(profile, num_ops=2_000, seed=0, check=True, params=base)
+    result = run_experiment(
+        Experiment(profile, ops=2_000, seed=0, check=True, params=base)
+    )
     for mode in ("unchecked", "checked"):
         assert result[mode]["ssit_decays"] > 0
     assert result["params"]["memdep"]["ssit_decay_cycles"] == 200
     # Decay off: the key stays out of both stats and params (golden safety).
     plain = run_experiment(
-        profile, num_ops=2_000, seed=0, check=True,
-        params=CoreParams(memdep=MemDepParams(enabled=True)),
+        Experiment(
+            profile,
+            ops=2_000,
+            seed=0,
+            check=True,
+            params=CoreParams(memdep=MemDepParams(enabled=True)),
+        )
     )
     assert "ssit_decays" not in plain["unchecked"]
     assert "ssit_decay_cycles" not in plain["params"]["memdep"]

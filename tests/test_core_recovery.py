@@ -170,7 +170,7 @@ def test_checkpoint_study_spec_loads_and_expands():
     assert sorted({p.checkpoint_interval for p in points}) == [16, 64, 256, 1024]
     for point in points:
         assert point.config()["checkpoint_interval"] == point.checkpoint_interval
-        assert point.core_params().recovery.checkpoint_interval == (
+        assert point.experiment().params.recovery.checkpoint_interval == (
             point.checkpoint_interval
         )
 

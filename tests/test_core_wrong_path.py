@@ -8,7 +8,7 @@ from repro.core.stats import CoreStats
 from repro.isa import MicroOp, OpClass
 from repro.isa.opcodes import FU_CLASSES, default_latencies
 from repro.workloads import WrongPathGenerator, generate, preset
-from repro.simulate import run_experiment
+from repro.simulate import Experiment, run_experiment
 
 
 def wp_params(**overrides) -> CoreParams:
@@ -216,8 +216,13 @@ def test_branchy_preset_wrong_path_pressure_and_slowdown():
     execution reports nonzero wrong-path slot usage and a (deterministically)
     larger checked-vs-unchecked slowdown than with the toggle off."""
     profile = preset("branchy")
-    with_wp = run_experiment(profile, num_ops=20_000, seed=0, check=True)
-    without_wp = run_experiment(profile, num_ops=20_000, seed=0, check=True, wrong_path=False)
+    with_wp = run_experiment(Experiment(profile, ops=20_000, seed=0, check=True))
+    without_wp = run_experiment(
+        Experiment(
+            profile, ops=20_000, seed=0, check=True,
+            params=CoreParams(model_wrong_path=False),
+        )
+    )
     assert with_wp["checked"]["wrong_path_slots_used"] > 0
     assert with_wp["unchecked"]["wrong_path_slots_used"] > 0
     assert with_wp["checked"]["wrong_path_slot_rate"] > 0.0

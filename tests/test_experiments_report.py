@@ -11,9 +11,9 @@ from repro.experiments import (
     aggregate,
     render_text,
     run_sweep,
-    write_bench_json,
     write_csv_tables,
 )
+from repro.util import write_json
 
 SPEC = SweepSpec(
     name="report-test",
@@ -86,7 +86,7 @@ def test_text_report_contains_the_three_paper_tables(rows):
 
 def test_bench_json_is_stable_and_machine_readable(rows, tmp_path):
     aggregated = aggregate(rows, source="r.jsonl")
-    path = write_bench_json(aggregated, tmp_path / "BENCH_sweep.json")
+    path = write_json(aggregated, tmp_path / "BENCH_sweep.json")
     payload = json.loads(path.read_text())
     assert payload == json.loads(json.dumps(aggregated))  # JSON-pure
     assert payload["schema"] == 1
@@ -97,7 +97,7 @@ def test_bench_json_is_stable_and_machine_readable(rows, tmp_path):
     }
     # Byte-stable: regenerating from the same rows rewrites identically.
     first = path.read_bytes()
-    write_bench_json(aggregate(rows, source="r.jsonl"), path)
+    write_json(aggregate(rows, source="r.jsonl"), path)
     assert path.read_bytes() == first
 
 

@@ -89,7 +89,7 @@ def test_point_roundtrips_through_its_config():
     rebuilt = RunPoint.from_config(point.config())
     assert rebuilt == point
     assert rebuilt.fu_label() == "falu1-fmul1-ialu4-imul1"
-    params = rebuilt.core_params()
+    params = rebuilt.experiment().params
     assert params.issue_width == 8
     assert params.checker.slot_policy == "reserved"
     assert params.checker.reserved_slots == 3
@@ -224,7 +224,7 @@ def test_memdep_point_roundtrips_and_changes_the_hash():
         4,
         0.3,
     )
-    assert rebuilt.core_params().memdep.enabled is True
+    assert rebuilt.experiment().params.memdep.enabled is True
 
 
 def test_memdep_axis_expands_the_grid():
@@ -274,7 +274,7 @@ def test_fault_model_axis_expands_and_roundtrips():
     assert config["fault_model"] == "checker"
     rebuilt = RunPoint.from_config(config)
     assert rebuilt.config_hash() == checker_point.config_hash()
-    assert rebuilt.core_params().checker.fault_model == "checker"
+    assert rebuilt.experiment().params.checker.fault_model == "checker"
 
 
 def test_default_points_emit_no_fault_model_key():

@@ -9,7 +9,7 @@ never schedules it.
 
 import pytest
 
-from repro.simulate import run_experiment
+from repro.simulate import Experiment, run_experiment
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
 from repro.core.core import SuperscalarCore
 from repro.obs import ObsSession
@@ -61,10 +61,10 @@ def test_traced_run_stats_identical_to_untraced(shape, interval):
 
 
 def test_run_experiment_results_identical_with_and_without_obs(tmp_path):
-    kwargs = dict(num_ops=2000, seed=0, check=True, fault_rate=1e-3)
-    plain = run_experiment(PRESETS["branchy"], **kwargs)
+    exp = Experiment(PRESETS["branchy"], ops=2000, seed=0, check=True, fault_rate=1e-3)
+    plain = run_experiment(exp)
     obs = ObsSession(trace_out=tmp_path / "trace.json", telemetry_interval=256)
-    observed = run_experiment(PRESETS["branchy"], obs=obs, **kwargs)
+    observed = run_experiment(exp, obs=obs)
     assert observed["unchecked"] == plain["unchecked"]
     assert observed["checked"] == plain["checked"]
     assert observed["slowdown"] == plain["slowdown"]

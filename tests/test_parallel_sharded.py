@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.simulate import run_experiment
+from repro.simulate import Experiment, run_experiment
 from repro.core.core import SuperscalarCore
 from repro.core.params import CoreParams
 from repro.parallel import plan_shards, run_sharded_experiment
@@ -80,22 +80,16 @@ def test_run_window_measures_only_past_the_boundary():
 
 
 def test_shards_1_is_bit_identical_to_monolithic():
-    kwargs = dict(num_ops=3_000, seed=0, check=True, fault_rate=1e-3)
-    mono = run_experiment(BRANCHY, **kwargs)
-    sharded = run_sharded_experiment(BRANCHY, shards=1, **kwargs)
+    exp = Experiment(BRANCHY, ops=3_000, seed=0, check=True, fault_rate=1e-3)
+    mono = run_experiment(exp)
+    sharded = run_sharded_experiment(exp, shards=1)
     assert json.dumps(sharded, sort_keys=True) == json.dumps(mono, sort_keys=True)
 
 
 def test_multi_shard_run_reconciles_the_op_budget():
     result = run_sharded_experiment(
-        BRANCHY,
-        num_ops=6_000,
-        seed=0,
-        shards=3,
-        warmup=500,
-        check=True,
-        fault_rate=0.0,
-        workers=1,
+        Experiment(BRANCHY, ops=6_000, seed=0, check=True, fault_rate=0.0),
+        shards=3, warmup=500, workers=1
     )
     sharding = result["sharding"]
     assert sharding["shards"] == 3
@@ -112,9 +106,10 @@ def test_multi_shard_run_reconciles_the_op_budget():
 
 
 def test_sharded_result_has_run_experiment_shape():
-    mono = run_experiment(BRANCHY, num_ops=1_000, seed=1, check=True)
+    mono = run_experiment(Experiment(BRANCHY, ops=1_000, seed=1, check=True))
     sharded = run_sharded_experiment(
-        BRANCHY, num_ops=1_000, seed=1, shards=2, warmup=100, check=True, workers=1
+        Experiment(BRANCHY, ops=1_000, seed=1, check=True),
+        shards=2, warmup=100, workers=1
     )
     assert set(sharded) == set(mono) | {"sharding"}
     assert set(sharded["unchecked"]) == set(mono["unchecked"])
@@ -124,14 +119,8 @@ def test_sharded_result_has_run_experiment_shape():
 
 def test_sharded_fault_detection_is_preserved():
     result = run_sharded_experiment(
-        BRANCHY,
-        num_ops=8_000,
-        seed=0,
-        shards=4,
-        warmup=500,
-        check=True,
-        fault_rate=1e-3,
-        workers=1,
+        Experiment(BRANCHY, ops=8_000, seed=0, check=True, fault_rate=1e-3),
+        shards=4, warmup=500, workers=1
     )
     checked = result["checked"]
     assert checked["faults_injected"] > 0
@@ -163,10 +152,10 @@ def _flaky_execute_shard(fail_first: int = 1):
     return flaky
 
 
-def _run_degraded(**kwargs):
+def _run_degraded():
     return run_sharded_experiment(
-        BRANCHY, num_ops=1_200, seed=0, shards=2, warmup=100, check=False,
-        workers=1, **kwargs
+        Experiment(BRANCHY, ops=1_200, seed=0, check=False),
+        shards=2, warmup=100, workers=1
     )
 
 
@@ -231,7 +220,7 @@ def test_single_shard_runs_skip_the_degradation_pass(monkeypatch):
         raise AssertionError("degradation engaged on a single-shard run")
 
     monkeypatch.setattr(shards_mod, "_retry_shard", exploding_retry)
-    result = run_sharded_experiment(BRANCHY, num_ops=1_000, shards=1, check=False)
+    result = run_sharded_experiment(Experiment(BRANCHY, ops=1_000, check=False))
     assert "sharding" not in result
 
 

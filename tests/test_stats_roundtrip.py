@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.simulate import run_experiment
+from repro.simulate import Experiment, run_experiment
 from repro.core.params import CheckerParams, CoreParams, MemDepParams, RecoveryParams
 from repro.core.core import SuperscalarCore
 from repro.workloads import PRESET_NAMES, PRESETS, generate
@@ -66,7 +66,7 @@ def test_detection_latency_aggregates_survive_round_trip():
 
 def test_run_experiment_result_round_trips():
     result = run_experiment(
-        PRESETS["branchy"], num_ops=1500, seed=0, check=True, fault_rate=1e-3
+        Experiment(PRESETS["branchy"], ops=1500, seed=0, check=True, fault_rate=1e-3)
     )
     _assert_json_pure(result)
     assert json.loads(json.dumps(result)) == result
@@ -94,7 +94,7 @@ def test_cli_json_out_writes_full_result(tmp_path, capsys):
     assert result["ops"] == 1000
     assert "unchecked" in result and "checked" in result and "params" in result
     assert result == run_experiment(
-        PRESETS["int-heavy"], num_ops=1000, seed=0, check=True
+        Experiment(PRESETS["int-heavy"], ops=1000, seed=0, check=True)
     )
 
 
