@@ -28,6 +28,7 @@ binomial proportions at small n) and writes them to
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -202,6 +203,22 @@ _CHECKER_KEYS = (
 )
 
 
+@functools.lru_cache(maxsize=1)
+def _campaign_trace(preset_name: str, ops: int, seed: int) -> tuple:
+    """The cell's trace, kept for the next point of the same preset.
+
+    Points are submitted cell by cell and every fault model of a preset
+    simulates the same trace, so this one-entry, per-process memo makes a
+    worker generate each preset's trace about once per phase while the
+    dispatch unit stays one point.  A tuple, because every trial shares it.
+    ``workloads.generate`` is looked up at call time, so a wrapper
+    installed on that module attribute sees every generation.
+    """
+    import repro.workloads as workloads
+
+    return tuple(workloads.generate(workloads.preset(preset_name), ops, seed=seed))
+
+
 def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
     """Simulate one checked core under the configured fault model.
 
@@ -223,7 +240,7 @@ def _simulate_campaign_point(config: dict[str, Any]) -> dict[str, Any]:
         fault_seed=config.get("fault_seed"),
         params=CoreParams(checker=checker),
     )
-    trace = workloads.generate(exp.profile, exp.ops, seed=exp.seed)
+    trace = _campaign_trace(config["preset"], exp.ops, exp.seed)
     core = build_core(exp, checked=True)
     stats = core.run(trace)
     if stats.fault_model_enabled:

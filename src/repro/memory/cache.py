@@ -50,6 +50,11 @@ class EvictedLine:
 class Cache:
     """A set-associative, LRU, write-back/write-allocate cache model.
 
+    Sets are created on first fill: a set that never held a line is
+    ``None`` and probes of it miss without allocating, so building or
+    invalidating a cache allocates no per-set objects and a run pays only
+    for the sets it fills.
+
     Args:
         size_bytes: Total capacity.
         ways: Associativity.
@@ -71,16 +76,14 @@ class Cache:
         self.num_sets = require_power_of_two(size_bytes // (ways * line_bytes), f"{name} set count")
         self._line_shift = line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        # Each set maps line address -> dirty flag, in LRU order (oldest first).
-        self._sets: list[OrderedDict[int, bool]] = [OrderedDict() for _ in range(self.num_sets)]
+        # Each set maps line address -> dirty flag, in LRU order (oldest
+        # first); None until the set's first fill.
+        self._sets: list[OrderedDict[int, bool] | None] = [None] * self.num_sets
         self.stats = CacheStats()
 
     def line_addr(self, addr: int) -> int:
         """Return the line-aligned address containing byte ``addr``."""
         return addr >> self._line_shift
-
-    def _set_for(self, line: int) -> OrderedDict[int, bool]:
-        return self._sets[line & self._set_mask]
 
     def lookup(self, addr: int, is_store: bool = False) -> bool:
         """Probe the cache; returns True on hit.
@@ -90,8 +93,8 @@ class Cache:
         atomic-latency modelling).
         """
         line = self.line_addr(addr)
-        cache_set = self._set_for(line)
-        if line in cache_set:
+        cache_set = self._sets[line & self._set_mask]
+        if cache_set is not None and line in cache_set:
             cache_set.move_to_end(line)
             if is_store:
                 cache_set[line] = True
@@ -107,7 +110,11 @@ class Cache:
         (and merges the dirty flag) rather than evicting.
         """
         line = self.line_addr(addr)
-        cache_set = self._set_for(line)
+        index = line & self._set_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            self._sets[index] = OrderedDict(((line, dirty),))
+            return None
         if line in cache_set:
             cache_set[line] = cache_set[line] or dirty
             cache_set.move_to_end(line)
@@ -124,9 +131,12 @@ class Cache:
     def contains(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
         line = self.line_addr(addr)
-        return line in self._set_for(line)
+        cache_set = self._sets[line & self._set_mask]
+        return cache_set is not None and line in cache_set
 
     def invalidate_all(self) -> None:
-        """Drop every line (used between independent simulation regions)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        """Drop every line (used between independent simulation regions).
+
+        Rebinds an all-``None`` set list: no per-set objects are built.
+        """
+        self._sets = [None] * self.num_sets

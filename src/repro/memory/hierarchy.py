@@ -288,12 +288,12 @@ class MemoryHierarchy:
             # (the access never reached the array) and replay next cycle.
             self._ports_used -= 1
             return _REFUSED_BANK
-        # L1D probe, inlined from Cache.lookup: the miss is only counted
-        # once the MSHRs accept the access.
+        # L1D probe, inlined from Cache.lookup (a None set has never been
+        # filled): the miss is only counted once the MSHRs accept the access.
         l1d = self.l1d
         line = addr >> l1d._line_shift
         cache_set = l1d._sets[line & l1d._set_mask]
-        if line in cache_set:
+        if cache_set is not None and line in cache_set:
             cache_set.move_to_end(line)
             if is_store:
                 cache_set[line] = True
@@ -393,7 +393,11 @@ class MemoryHierarchy:
     # ----------------------------------------------------------------- admin
 
     def reset(self) -> None:
-        """Drop all cached state and counters (between independent runs)."""
+        """Drop all cached state and counters (between independent runs).
+
+        Cache sets are created on first fill, so a reset allocates no
+        per-set objects.
+        """
         for cache in (self.l1i, self.l1d, self.l2):
             cache.invalidate_all()
             cache.stats = CacheStats()

@@ -1,7 +1,11 @@
 """Checked-mode integration: resource stealing, detection, recovery."""
 
+import pytest
+
 from repro.core import CheckerParams, CoreParams, SuperscalarCore
+from repro.core.params import MemDepParams
 from repro.isa import MicroOp, OpClass
+from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
 from repro.workloads import generate, preset
 
 
@@ -159,10 +163,23 @@ def test_squash_refetched_branches_are_counted_once():
     assert stats.branch_mispredicts == 1
 
 
-def test_rerunning_the_same_core_gives_identical_stats():
-    trace = generate(preset("int-heavy"), 1000, seed=6)
-    params = CoreParams(checker=CheckerParams(enabled=True, fault_rate=0.01))
-    core = SuperscalarCore(params)
+@pytest.mark.parametrize(
+    "preset_name,memdep,banks",
+    [
+        ("int-heavy", False, 1),
+        # Cold misses all over memory: the reset hierarchy must rebuild
+        # many L1D and L2 sets on first fill and land on the same stats.
+        ("memory-bound", True, 4),
+    ],
+    ids=["int-heavy", "memory-bound-memdep-banks4"],
+)
+def test_rerunning_the_same_core_gives_identical_stats(preset_name, memdep, banks):
+    trace = generate(preset(preset_name), 1000, seed=6)
+    params = CoreParams(
+        checker=CheckerParams(enabled=True, fault_rate=0.01),
+        memdep=MemDepParams(enabled=memdep),
+    )
+    core = SuperscalarCore(params, MemoryHierarchy(HierarchyParams(dcache_banks=banks)))
     first = core.run(trace).to_dict()
     second = core.run(trace).to_dict()
     assert first == second

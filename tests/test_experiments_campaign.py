@@ -178,6 +178,38 @@ def test_every_trial_resolves_each_fault_to_exactly_one_outcome(tmp_path):
         assert row["config"]["force_fault_index"] < result["eligible"]
 
 
+def test_a_worker_generates_each_presets_trace_once_per_phase(tmp_path, monkeypatch):
+    """Cells of one preset share a trace: the per-process memo regenerates
+    it only when the preset changes, and no trial mutates the shared copy."""
+    import repro.workloads as workloads
+    from repro.experiments.campaign import _campaign_trace
+
+    calls = []
+    real_generate = workloads.generate
+
+    def counting_generate(profile, num_ops, seed=0):
+        calls.append(profile.name)
+        return real_generate(profile, num_ops, seed=seed)
+
+    _campaign_trace.cache_clear()
+    monkeypatch.setattr(workloads, "generate", counting_generate)
+    spec = CampaignSpec(
+        name="memo", presets=["int-heavy", "branchy"],
+        fault_models=["address", "checker"], trials=3, ops=400,
+    )
+    try:
+        summary = run_campaign(spec, ResultsStore(tmp_path / "r.jsonl"), workers=1)
+        assert summary.errors == 0 and summary.trials_executed == 12
+        # One generation per preset per phase (calibrations, then trials),
+        # not one per simulated point (4 + 12).
+        assert calls == ["int-heavy", "branchy", "int-heavy", "branchy"]
+        shared = _campaign_trace("branchy", 400, 0)
+        assert len(calls) == 4  # still memoized
+        assert shared == tuple(real_generate(workloads.preset("branchy"), 400, seed=0))
+    finally:
+        _campaign_trace.cache_clear()
+
+
 def test_cell_with_no_eligible_sites_is_a_hard_error(tmp_path):
     store = ResultsStore(tmp_path / "r.jsonl")
     spec = CampaignSpec(name="empty", presets=["int-heavy"],

@@ -95,6 +95,42 @@ def test_invalidate_all_clears_lines_but_not_stats():
     assert cache.stats.hits == 1
 
 
+def test_probes_of_a_never_filled_set_miss_without_creating_it():
+    cache = Cache(size_bytes=4 * 2 * 64, ways=2, line_bytes=64)  # 4 sets
+    assert cache.contains(A) is False
+    assert cache.lookup(A) is False
+    assert cache.lookup(A, is_store=True) is False
+    assert cache._sets == [None] * cache.num_sets
+    assert cache.stats.misses == 2  # lookups count; contains does not
+    cache.fill(A)
+    assert sum(s is not None for s in cache._sets) == 1
+
+
+def _fill_log(cache: Cache) -> list:
+    """Victims of a fixed fill/hit/store sequence, plus the writeback count."""
+    log = [cache.fill(A), cache.fill(B)]
+    cache.lookup(B, is_store=True)  # B dirty
+    log += [cache.fill(C), cache.fill(D), cache.fill(A)]  # A, dirty B, C out
+    cache.lookup(D)  # D becomes MRU, so A is the next victim
+    log.append(cache.fill(B))
+    victims = [None if v is None else (v.line_addr, v.dirty) for v in log]
+    return victims + [cache.stats.writebacks]
+
+
+def test_invalidate_all_replays_like_a_fresh_cache():
+    fresh = _fill_log(one_set_cache(ways=2))
+    line = one_set_cache().line_addr
+    assert fresh == [
+        None, None, (line(A), False), (line(B), True), (line(C), False),
+        (line(A), False), 1,
+    ]
+    reused = one_set_cache(ways=2)
+    _fill_log(reused)
+    reused.invalidate_all()
+    reused.stats.writebacks = 0
+    assert _fill_log(reused) == fresh
+
+
 def test_miss_rate():
     cache = one_set_cache()
     assert cache.stats.miss_rate == 0.0
